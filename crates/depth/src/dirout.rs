@@ -20,16 +20,15 @@
 //! the ranking score (Dai & Genton eq. (5); their MS-plot reads the two
 //! components separately, which [`DirOutScores`] exposes).
 //!
-//! Both the outer per-grid-point cloud-scoring loop and the per-direction
-//! work inside each grid point run on the worker pool of
-//! [`mfod_linalg::par`], with per-point blocks reassembled in grid order —
-//! scores are bit-for-bit identical at any pool size.
+//! The parallelism lives in the grid loop: grid points fan out across the
+//! worker pool of [`mfod_linalg::par`] and their blocks are reassembled in
+//! grid order. Each grid point runs its random directions inline on its
+//! own task, along one direction stream drawn once per decomposition and
+//! shared by every grid point — scores are bit-for-bit identical at any
+//! pool size.
 
 use crate::dataset::GriddedDataSet;
-use crate::projection::{
-    coordinate_median, projection_outlyingness_against_on, projection_outlyingness_on,
-    ProjectionConfig,
-};
+use crate::projection::{coordinate_median, outlyingness_along, Directions, ProjectionConfig};
 use crate::{FunctionalOutlierScorer, Result};
 use mfod_linalg::{par, vector, Matrix};
 
@@ -55,8 +54,8 @@ impl DirOut {
 
     /// [`DirOut::decompose`] on an explicit worker pool.
     ///
-    /// Every grid point's point cloud is scored independently (the RNG
-    /// direction stream is re-seeded per grid point), so the outer grid
+    /// Every grid point's point cloud is scored independently along the
+    /// same direction stream (drawn once, before the fan-out), so the grid
     /// loop fans out across `pool` and the per-point blocks are
     /// reassembled in grid order — scores are bit-for-bit identical at
     /// any pool size, and the first failing grid point in grid order is
@@ -67,10 +66,11 @@ impl DirOut {
             m: data.m(),
             p: data.dim(),
         };
+        let directions = Directions::draw(dims.p, &self.projection);
         decompose_pointwise_on(pool, dims, data.grid(), |j| {
             let cloud = data.point_cloud(j);
-            let outcome = projection_outlyingness_on(pool, &cloud, &self.projection)
-                .map_err(|e| e.at_grid_point(j))?;
+            let outcome =
+                outlyingness_along(&cloud, None, &directions).map_err(|e| e.at_grid_point(j))?;
             Ok(oriented_block(&outcome, &cloud, &cloud))
         })
     }
@@ -145,16 +145,12 @@ impl DirOut {
             m: queries.m(),
             p: queries.dim(),
         };
+        let directions = Directions::draw(dims.p, &self.projection);
         decompose_pointwise_on(pool, dims, queries.grid(), |j| {
             let ref_cloud = reference.point_cloud(j);
             let query_cloud = queries.point_cloud(j);
-            let outcome = projection_outlyingness_against_on(
-                pool,
-                &ref_cloud,
-                &query_cloud,
-                &self.projection,
-            )
-            .map_err(|e| e.at_grid_point(j))?;
+            let outcome = outlyingness_along(&ref_cloud, Some(&query_cloud), &directions)
+                .map_err(|e| e.at_grid_point(j))?;
             Ok(oriented_block(&outcome, &ref_cloud, &query_cloud))
         })
     }
@@ -510,6 +506,13 @@ mod tests {
         }
         samples.push(s);
         let d = GriddedDataSet::new(grid, samples).unwrap();
+        // one shared direction stream, but every grid point still attempts
+        // (and accounts for) the full budget of axes + random directions
+        let decomposition = DirOut::new().decompose(&d).unwrap();
+        assert_eq!(
+            decomposition.attempted_directions,
+            m * (ProjectionConfig::default().n_directions + 2)
+        );
         let scores = DirOut::new().score(&d).unwrap();
         let max_idx = scores
             .iter()

@@ -2,14 +2,19 @@
 //! and in `R^p` via random directions, as used by the directional
 //! outlyingness baseline (Zuo 2003; Dai & Genton 2019).
 //!
-//! The random-direction approximation is the fit-side hot path of the
-//! Dir.out baseline (one call per grid point), so the per-direction work
-//! — project the cloud, take the median and MAD, fold the normalized
-//! residuals into the running maximum — fans out across the worker pool
-//! of [`mfod_linalg::par`]. The RNG-drawn direction stream is generated
-//! **sequentially before** the fan-out, and the per-direction maxima are
+//! The random-direction approximation projects the cloud on every
+//! direction, takes the median and MAD, and folds the normalized residuals
+//! into a running maximum. The public `*_on` entry points fan contiguous
+//! blocks of directions out across the worker pool of
+//! [`mfod_linalg::par`]: the RNG-drawn direction stream is generated
+//! **sequentially before** the fan-out, and the per-block maxima are
 //! folded back **in direction order**, so the scores are bit-for-bit
 //! identical to the plain sequential loop at any thread count.
+//!
+//! Dir.out calls this once per grid point, and already runs its grid
+//! points on the pool, so it draws the direction stream once per
+//! decomposition and runs each grid point's directions inline on the
+//! calling task instead (same kernel, same fold order, same bits).
 
 use crate::error::DepthError;
 use crate::Result;
@@ -108,13 +113,10 @@ pub fn projection_outlyingness_on(
         return Err(DepthError::TooFewSamples { got: 0, need: 1 });
     }
     if cloud.ncols() == 1 {
-        return Ok(ProjectionOutcome {
-            scores: univariate_outlyingness(&cloud.col(0))?,
-            used_directions: 1,
-            degenerate_directions: 0,
-        });
+        return univariate(cloud, None);
     }
-    outlyingness_over_directions(pool, cloud, None, config)
+    let directions = Directions::draw(cloud.ncols(), config);
+    outlyingness_over_directions(pool, cloud, None, &directions)
 }
 
 /// Approximates the projection outlyingness of each row of `queries`
@@ -147,9 +149,8 @@ pub fn projection_outlyingness_against_on(
     queries: &Matrix,
     config: &ProjectionConfig,
 ) -> Result<ProjectionOutcome> {
-    let n_ref = reference.nrows();
     let p = reference.ncols();
-    if n_ref == 0 || queries.nrows() == 0 {
+    if reference.nrows() == 0 || queries.nrows() == 0 {
         return Err(DepthError::TooFewSamples { got: 0, need: 1 });
     }
     if queries.ncols() != p {
@@ -159,80 +160,149 @@ pub fn projection_outlyingness_against_on(
         )));
     }
     if p == 1 {
-        let refs = reference.col(0);
-        let med = vector::median(&refs);
-        let mad = vector::mad_raw(&refs);
-        if mad <= 0.0 || !mad.is_finite() {
-            return Err(DepthError::DegenerateScale {
-                context: format!("MAD of the {n_ref}-point univariate reference set is zero"),
-            });
-        }
-        return Ok(ProjectionOutcome {
-            scores: queries
-                .col(0)
-                .iter()
-                .map(|&x| (x - med).abs() / mad)
-                .collect(),
-            used_directions: 1,
-            degenerate_directions: 0,
-        });
+        return univariate(reference, Some(queries));
     }
-    outlyingness_over_directions(pool, reference, Some(queries), config)
+    let directions = Directions::draw(p, config);
+    outlyingness_over_directions(pool, reference, Some(queries), &directions)
 }
 
-/// Shared direction loop behind the joint and against variants: location
-/// and scale come from `reference`; scores are computed for `queries`
-/// when given, else for `reference` itself.
-///
-/// Stage 1 draws the direction stream sequentially (identical RNG
-/// consumption to the historical sequential loop), stage 2 fans the
-/// project + median + MAD work per direction across `pool`, stage 3 folds
-/// the per-direction residuals into the supremum in direction order.
+/// Exact outlyingness of univariate clouds (`p = 1`): location and scale
+/// from `reference`, scores for `queries` when given, else for `reference`
+/// itself.
+fn univariate(reference: &Matrix, queries: Option<&Matrix>) -> Result<ProjectionOutcome> {
+    let scores = match queries {
+        None => univariate_outlyingness(&reference.col(0))?,
+        Some(q) => {
+            let refs = reference.col(0);
+            let med = vector::median(&refs);
+            let mad = vector::mad_raw(&refs);
+            if mad <= 0.0 || !mad.is_finite() {
+                return Err(DepthError::DegenerateScale {
+                    context: format!(
+                        "MAD of the {}-point univariate reference set is zero",
+                        refs.len()
+                    ),
+                });
+            }
+            q.col(0).iter().map(|&x| (x - med).abs() / mad).collect()
+        }
+    };
+    Ok(ProjectionOutcome {
+        scores,
+        used_directions: 1,
+        degenerate_directions: 0,
+    })
+}
+
+/// The direction stream of a [`ProjectionConfig`] in `R^p`: the `p`
+/// coordinate axes, then `n_directions` isotropic Gaussian draws,
+/// normalized. It depends only on `p` and the config, so one stream serves
+/// any number of clouds of that dimension.
+pub(crate) struct Directions {
+    /// The usable unit directions, in draw order.
+    units: Vec<Vec<f64>>,
+    /// Random draws too short to normalize: skipped, and counted as
+    /// degenerate for every cloud scored along this stream.
+    degenerate_draws: usize,
+}
+
+impl Directions {
+    /// Draws the stream. A draw that fails to normalize still consumes its
+    /// RNG values, so later directions do not depend on earlier failures.
+    pub(crate) fn draw(p: usize, config: &ProjectionConfig) -> Self {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut units: Vec<Vec<f64>> = Vec::with_capacity(config.n_directions + p);
+        let mut degenerate_draws = 0usize;
+        let mut dir = vec![0.0; p];
+        for d in 0..config.n_directions + p {
+            if d < p {
+                // coordinate axes first: cheap and often informative
+                dir.fill(0.0);
+                dir[d] = 1.0;
+            } else {
+                // isotropic Gaussian direction, normalized
+                for v in dir.iter_mut() {
+                    *v = standard_normal(&mut rng);
+                }
+                if vector::normalize(&mut dir, 1e-12) <= 1e-12 {
+                    degenerate_draws += 1;
+                    continue;
+                }
+            }
+            units.push(dir.clone());
+        }
+        Directions {
+            units,
+            degenerate_draws,
+        }
+    }
+
+    /// Directions attempted per scored cloud (`used + degenerate`).
+    fn attempted(&self) -> usize {
+        self.units.len() + self.degenerate_draws
+    }
+
+    /// Merges per-block partial suprema, given in direction order, into
+    /// the outcome of one cloud. The strictly-greater max update over the
+    /// nonnegative finite residuals is associative, so any blocking of the
+    /// stream gives the one-direction-at-a-time result bit for bit.
+    fn merge(&self, blocks: impl IntoIterator<Item = Supremum>) -> Result<ProjectionOutcome> {
+        let mut blocks = blocks.into_iter();
+        let mut total = blocks.next().expect("at least one block of directions");
+        for block in blocks {
+            total.used += block.used;
+            total.degenerate += block.degenerate;
+            for (o, &v) in total.scores.iter_mut().zip(block.scores.iter()) {
+                if v > *o {
+                    *o = v;
+                }
+            }
+        }
+        if total.used == 0 {
+            return Err(DepthError::DegenerateDirections {
+                attempted: self.attempted(),
+            });
+        }
+        Ok(ProjectionOutcome {
+            scores: total.scores,
+            used_directions: total.used,
+            degenerate_directions: self.degenerate_draws + total.degenerate,
+        })
+    }
+}
+
+/// Projection outlyingness along a pre-drawn direction stream, run on the
+/// calling thread: location and scale from `reference`, scores for
+/// `queries` when given, else for `reference` itself. Univariate clouds
+/// take the exact path and ignore the stream. The caller has checked that
+/// both clouds are non-empty and share their dimension.
+pub(crate) fn outlyingness_along(
+    reference: &Matrix,
+    queries: Option<&Matrix>,
+    directions: &Directions,
+) -> Result<ProjectionOutcome> {
+    if reference.ncols() == 1 {
+        return univariate(reference, queries);
+    }
+    directions.merge([fold_directions(reference, queries, &directions.units)])
+}
+
+/// Pool fan-out behind the public multivariate entry points: contiguous
+/// blocks of directions, each folding its residuals into a per-block
+/// partial supremum as it goes, so the transient memory is O(blocks × n)
+/// rather than O(directions × n). The block count follows the pool's
+/// stealing granularity (`task_chunks`, i.e. split-factor × threads)
+/// instead of the thread count, so a block whose directions all degenerate
+/// early cannot leave its thread idle while another grinds through
+/// expensive ones — idle threads steal the remaining blocks. The partials
+/// are merged in block (= direction) order.
 fn outlyingness_over_directions(
     pool: &par::Pool,
     reference: &Matrix,
     queries: Option<&Matrix>,
-    config: &ProjectionConfig,
+    directions: &Directions,
 ) -> Result<ProjectionOutcome> {
-    let n_ref = reference.nrows();
-    let p = reference.ncols();
-    let n_out = queries.map_or(n_ref, Matrix::nrows);
-    let total = config.n_directions + p;
-
-    // Stage 1 (sequential): the direction stream. Axes first, then random
-    // unit vectors; draws that fail to normalize are counted as degenerate
-    // but still consume the same RNG values they always did.
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut dirs: Vec<Vec<f64>> = Vec::with_capacity(total);
-    let mut degenerate = 0usize;
-    let mut dir = vec![0.0; p];
-    for d in 0..total {
-        if d < p {
-            // coordinate axes first: cheap and often informative
-            dir.fill(0.0);
-            dir[d] = 1.0;
-        } else {
-            // isotropic Gaussian direction, normalized
-            for v in dir.iter_mut() {
-                *v = standard_normal(&mut rng);
-            }
-            if vector::normalize(&mut dir, 1e-12) <= 1e-12 {
-                degenerate += 1;
-                continue;
-            }
-        }
-        dirs.push(dir.clone());
-    }
-
-    // Stage 2 (parallel): contiguous blocks of directions, each folding
-    // its residuals into a per-block partial supremum as it goes, so the
-    // transient memory is O(blocks × n) rather than O(directions × n).
-    // The block count follows the pool's stealing granularity
-    // (`task_chunks`, i.e. split-factor × threads) instead of the thread
-    // count, so a block whose directions all degenerate early cannot
-    // leave its thread idle while another grinds through expensive ones —
-    // idle threads steal the remaining blocks.
-    let n_dirs = dirs.len();
+    let n_dirs = directions.units.len();
     let n_blocks = pool.task_chunks(n_dirs).max(1);
     let (base, extra) = (n_dirs / n_blocks, n_dirs % n_blocks);
     let mut bounds = Vec::with_capacity(n_blocks + 1);
@@ -242,67 +312,84 @@ fn outlyingness_over_directions(
         start += base + usize::from(b < extra);
         bounds.push(start);
     }
-    let blocks: Vec<(Vec<f64>, usize, usize)> = pool.map(n_blocks, |b| {
-        let mut partial = vec![0.0; n_out];
-        let mut used = 0usize;
-        let mut block_degenerate = 0usize;
-        let mut proj_ref = vec![0.0; n_ref];
-        for u in &dirs[bounds[b]..bounds[b + 1]] {
-            for (i, pr) in proj_ref.iter_mut().enumerate() {
-                *pr = vector::dot(reference.row(i), u);
-            }
-            let med = vector::median(&proj_ref);
-            let mad = vector::mad_raw(&proj_ref);
-            if mad <= 1e-300 || !mad.is_finite() {
-                block_degenerate += 1;
-                continue;
-            }
-            used += 1;
-            match queries {
-                None => {
-                    for (o, &pr) in partial.iter_mut().zip(proj_ref.iter()) {
-                        let v = (pr - med).abs() / mad;
-                        if v > *o {
-                            *o = v;
-                        }
-                    }
-                }
-                Some(q) => {
-                    for (i, o) in partial.iter_mut().enumerate() {
-                        let v = (vector::dot(q.row(i), u) - med).abs() / mad;
-                        if v > *o {
-                            *o = v;
-                        }
-                    }
-                }
-            }
-        }
-        (partial, used, block_degenerate)
+    let blocks = pool.map(n_blocks, |b| {
+        fold_directions(
+            reference,
+            queries,
+            &directions.units[bounds[b]..bounds[b + 1]],
+        )
     });
+    directions.merge(blocks)
+}
 
-    // Stage 3 (sequential): merge the block partials in block (= direction)
-    // order. The strictly-greater max update over the nonnegative finite
-    // residuals is associative, so the blocked fold is bit-for-bit
-    // identical to the one-direction-at-a-time sequential loop.
-    let mut out = vec![0.0; n_out];
-    let mut used = 0usize;
-    for (partial, block_used, block_degenerate) in blocks {
-        used += block_used;
-        degenerate += block_degenerate;
-        for (o, &v) in out.iter_mut().zip(partial.iter()) {
-            if v > *o {
-                *o = v;
+/// Partial supremum of the normalized residuals over a run of directions.
+struct Supremum {
+    /// Running maximum per scored point (0 before any direction).
+    scores: Vec<f64>,
+    /// Directions that contributed.
+    used: usize,
+    /// Directions skipped for a zero or non-finite MAD.
+    degenerate: usize,
+}
+
+/// The per-direction kernel: projects `reference` on each of `units`,
+/// takes the median and MAD of the projections, and folds the scored
+/// points' normalized residuals into a running maximum, in direction
+/// order. Median and MAD share one scratch buffer (two selects, no
+/// allocation per direction).
+fn fold_directions(reference: &Matrix, queries: Option<&Matrix>, units: &[Vec<f64>]) -> Supremum {
+    let n_ref = reference.nrows();
+    let n_out = queries.map_or(n_ref, Matrix::nrows);
+    let mut sup = Supremum {
+        scores: vec![0.0; n_out],
+        used: 0,
+        degenerate: 0,
+    };
+    let mut proj_ref = vec![0.0; n_ref];
+    let mut scratch = vec![0.0; n_ref];
+    for u in units {
+        for (i, pr) in proj_ref.iter_mut().enumerate() {
+            *pr = vector::dot(reference.row(i), u);
+        }
+        let (med, mad) = median_mad(&proj_ref, &mut scratch);
+        if mad <= 1e-300 || !mad.is_finite() {
+            sup.degenerate += 1;
+            continue;
+        }
+        sup.used += 1;
+        match queries {
+            None => {
+                for (o, &pr) in sup.scores.iter_mut().zip(proj_ref.iter()) {
+                    let v = (pr - med).abs() / mad;
+                    if v > *o {
+                        *o = v;
+                    }
+                }
+            }
+            Some(q) => {
+                for (i, o) in sup.scores.iter_mut().enumerate() {
+                    let v = (vector::dot(q.row(i), u) - med).abs() / mad;
+                    if v > *o {
+                        *o = v;
+                    }
+                }
             }
         }
     }
-    if used == 0 {
-        return Err(DepthError::DegenerateDirections { attempted: total });
+    sup
+}
+
+/// Median and raw (unscaled) MAD of `values`, computed in `scratch` (same
+/// length): select the median, overwrite with absolute deviations, select
+/// again. Both order statistics depend only on the multiset of values, so
+/// this is bit-identical to [`vector::median`] and [`vector::mad_raw`].
+fn median_mad(values: &[f64], scratch: &mut [f64]) -> (f64, f64) {
+    scratch.copy_from_slice(values);
+    let med = vector::median_in_place(scratch);
+    for v in scratch.iter_mut() {
+        *v = (*v - med).abs();
     }
-    Ok(ProjectionOutcome {
-        scores: out,
-        used_directions: used,
-        degenerate_directions: degenerate,
-    })
+    (med, vector::median_in_place(scratch))
 }
 
 /// Projection depth `PD(x) = 1 / (1 + O(x))` for every row of `cloud`.
@@ -471,6 +558,33 @@ mod tests {
             seq_q,
             projection_outlyingness_against_full(&cloud, &queries, &cfg).unwrap()
         );
+        // the inline path along a shared, pre-drawn stream (Dir.out's grid
+        // points) is the same computation
+        let directions = Directions::draw(cloud.ncols(), &cfg);
+        let inline = outlyingness_along(&cloud, None, &directions).unwrap();
+        let inline_q = outlyingness_along(&cloud, Some(&queries), &directions).unwrap();
+        for (a, b) in [(&seq, &inline), (&seq_q, &inline_q)] {
+            assert_eq!(a, b);
+            for (x, y) in a.scores.iter().zip(&b.scores) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn median_mad_matches_vector_reference() {
+        let mut scratch = [0.0; 9];
+        for values in [
+            vec![3.0, -1.0, 2.5, 2.5, 0.0, -0.0, 7.0, 1.0, 1.0],
+            vec![0.1, 0.1, 0.1, 0.2, 0.3, -5.0, 9.0, 0.1, 0.1],
+        ] {
+            for len in [8, 9] {
+                let v = &values[..len];
+                let (med, mad) = median_mad(v, &mut scratch[..len]);
+                assert_eq!(med.to_bits(), vector::median(v).to_bits());
+                assert_eq!(mad.to_bits(), vector::mad_raw(v).to_bits());
+            }
+        }
     }
 
     #[test]

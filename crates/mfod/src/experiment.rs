@@ -16,6 +16,17 @@
 //! and the baselines' gridded dataset are computed once and the split loop
 //! only refits detectors — a few orders of magnitude faster than
 //! re-smoothing per repetition, with identical results.
+//!
+//! All `levels × repetitions` splits then run as one map on the worker
+//! pool of [`mfod_linalg::par`]. Each split is a pure function of its
+//! contamination level and seed: the seed alone draws the split, and
+//! every randomized step inside it (iForest's per-tree seeds, the ν-CV
+//! folds, Dir.out's direction stream) is seeded from the configuration,
+//! never from shared state. The pool returns the splits in `(level,
+//! repetition)` order and each level is folded by [`run_repeated`] exactly
+//! as the sequential loop did, so the rows are bit-for-bit identical at any
+//! pool size and the first failing split in that order is the error
+//! reported.
 
 use crate::baselines::DepthBaseline;
 use crate::error::MfodError;
@@ -28,6 +39,7 @@ use mfod_detect::features::Standardizer;
 use mfod_detect::{Detector, IsolationForest, OcSvm};
 use mfod_eval::{run_repeated, RepeatedSummary};
 use mfod_geometry::Curvature;
+use mfod_linalg::par;
 use std::sync::Arc;
 
 /// Configuration of the Fig. 3 reproduction.
@@ -135,8 +147,28 @@ pub fn run_fig3(cfg: &Fig3Config) -> Result<Vec<Fig3Row>> {
 }
 
 /// Runs the Fig. 3 protocol on externally supplied (already augmented)
-/// data — e.g. the real ECG200 loaded via `mfod_datasets::ucr`.
+/// data — e.g. the real ECG200 loaded via `mfod_datasets::ucr`. The
+/// splits run on the global worker pool.
 pub fn run_fig3_on(cfg: &Fig3Config, data: &LabeledDataSet) -> Result<Vec<Fig3Row>> {
+    run_fig3_with(par::global(), cfg, data)
+}
+
+/// What one split contributes to its level's row.
+struct SplitOutcome {
+    /// AUC per method.
+    aucs: Vec<(String, f64)>,
+    /// Dir.out's degenerate directions.
+    dirout_degenerate: usize,
+    /// Dir.out's attempted directions.
+    dirout_attempted: usize,
+}
+
+/// [`run_fig3_on`] with the splits mapped over `pool`.
+fn run_fig3_with(
+    pool: &par::Pool,
+    cfg: &Fig3Config,
+    data: &LabeledDataSet,
+) -> Result<Vec<Fig3Row>> {
     // 2. split-independent precomputation
     let curv_pipeline = GeomOutlierPipeline::new(
         cfg.pipeline.clone(),
@@ -149,72 +181,87 @@ pub fn run_fig3_on(cfg: &Fig3Config, data: &LabeledDataSet) -> Result<Vec<Fig3Ro
     let dirout = DirOut::new();
     let all_cols: Vec<usize> = (0..features.ncols()).collect();
 
-    let mut rows = Vec::with_capacity(cfg.contamination_levels.len());
-    for &c in &cfg.contamination_levels {
+    // 3. every (level, repetition) split, returned in that order
+    let reps = cfg.repetitions;
+    let levels = &cfg.contamination_levels;
+    let run_split = |task: usize| -> Result<SplitOutcome> {
         let split_cfg = SplitConfig {
             train_size: cfg.train_size,
-            contamination: c,
+            contamination: levels[task / reps],
         };
-        let mut dirout_degenerate = 0usize;
-        let mut dirout_direction_budget = 0usize;
-        let summary = run_repeated(cfg.repetitions, cfg.split_seed, |seed| {
-            let split = split_cfg.split(data, seed).map_err(MfodError::from)?;
-            let test_labels: Vec<bool> = split
-                .test_indices
-                .iter()
-                .map(|&i| data.labels()[i])
-                .collect();
-            let train_f = features.submatrix(&split.train_indices, &all_cols);
-            let test_f = features.submatrix(&split.test_indices, &all_cols);
+        let seed = cfg.split_seed + (task % reps) as u64;
+        let split = split_cfg.split(data, seed).map_err(MfodError::from)?;
+        let test_labels: Vec<bool> = split
+            .test_indices
+            .iter()
+            .map(|&i| data.labels()[i])
+            .collect();
+        let train_f = features.submatrix(&split.train_indices, &all_cols);
+        let test_f = features.submatrix(&split.test_indices, &all_cols);
 
-            // iFor(Curvmap)
-            let ifor = cfg.iforest.fit(&train_f).map_err(MfodError::from)?;
-            let ifor_auc = mfod_eval::auc(
-                &ifor.score_batch(&test_f).map_err(MfodError::from)?,
-                &test_labels,
-            )
+        // iFor(Curvmap)
+        let ifor = cfg.iforest.fit(&train_f).map_err(MfodError::from)?;
+        let ifor_auc = mfod_eval::auc(
+            &ifor.score_batch(&test_f).map_err(MfodError::from)?,
+            &test_labels,
+        )
+        .map_err(MfodError::from)?;
+
+        // OCSVM(Curvmap), ν tuned by k-fold self-consistency CV;
+        // features standardized with training statistics (the RBF
+        // kernel is distance-based, unlike the scale-free iForest)
+        let std = Standardizer::fit(&train_f).map_err(MfodError::from)?;
+        let train_z = std.transform(&train_f).map_err(MfodError::from)?;
+        let test_z = std.transform(&test_f).map_err(MfodError::from)?;
+        let (_, ocsvm) = cfg.nu_tuner.tune_and_fit(&cfg.ocsvm, &train_z)?;
+        let ocsvm_auc = mfod_eval::auc(
+            &ocsvm.score_batch(&test_z).map_err(MfodError::from)?,
+            &test_labels,
+        )
+        .map_err(MfodError::from)?;
+
+        // depth baselines, fit on the training reference (so that
+        // training contamination affects them exactly as it affects the
+        // detector-based pipelines)
+        let train_g = gridded
+            .subset(&split.train_indices)
             .map_err(MfodError::from)?;
-
-            // OCSVM(Curvmap), ν tuned by k-fold self-consistency CV;
-            // features standardized with training statistics (the RBF
-            // kernel is distance-based, unlike the scale-free iForest)
-            let std = Standardizer::fit(&train_f).map_err(MfodError::from)?;
-            let train_z = std.transform(&train_f).map_err(MfodError::from)?;
-            let test_z = std.transform(&test_f).map_err(MfodError::from)?;
-            let (_, ocsvm) = cfg.nu_tuner.tune_and_fit(&cfg.ocsvm, &train_z)?;
-            let ocsvm_auc = mfod_eval::auc(
-                &ocsvm.score_batch(&test_z).map_err(MfodError::from)?,
-                &test_labels,
-            )
+        let test_g = gridded
+            .subset(&split.test_indices)
             .map_err(MfodError::from)?;
+        let funta_scores = funta
+            .score_against(&train_g, &test_g)
+            .map_err(MfodError::from)?;
+        let funta_auc = mfod_eval::auc(&funta_scores, &test_labels).map_err(MfodError::from)?;
+        let dirout_scores = dirout
+            .decompose_against_on(pool, &train_g, &test_g)
+            .map_err(MfodError::from)?;
+        let dirout_auc =
+            mfod_eval::auc(&dirout_scores.fo, &test_labels).map_err(MfodError::from)?;
 
-            // depth baselines, fit on the training reference (so that
-            // training contamination affects them exactly as it affects the
-            // detector-based pipelines)
-            let train_g = gridded
-                .subset(&split.train_indices)
-                .map_err(MfodError::from)?;
-            let test_g = gridded
-                .subset(&split.test_indices)
-                .map_err(MfodError::from)?;
-            let funta_scores = funta
-                .score_against(&train_g, &test_g)
-                .map_err(MfodError::from)?;
-            let funta_auc = mfod_eval::auc(&funta_scores, &test_labels).map_err(MfodError::from)?;
-            let dirout_scores = dirout
-                .decompose_against(&train_g, &test_g)
-                .map_err(MfodError::from)?;
-            dirout_degenerate += dirout_scores.degenerate_directions;
-            dirout_direction_budget += dirout_scores.attempted_directions;
-            let dirout_auc =
-                mfod_eval::auc(&dirout_scores.fo, &test_labels).map_err(MfodError::from)?;
-
-            Ok::<_, MfodError>(vec![
+        Ok(SplitOutcome {
+            aucs: vec![
                 ("iFor(Curvmap)".to_string(), ifor_auc),
                 ("OCSVM(Curvmap)".to_string(), ocsvm_auc),
                 ("FUNTA".to_string(), funta_auc),
                 ("Dir.out".to_string(), dirout_auc),
-            ])
+            ],
+            dirout_degenerate: dirout_scores.degenerate_directions,
+            dirout_attempted: dirout_scores.attempted_directions,
+        })
+    };
+    let mut outcomes = pool.map(levels.len() * reps, run_split).into_iter();
+
+    // 4. per-level summaries, folded in (level, repetition) order
+    let mut rows = Vec::with_capacity(levels.len());
+    for &c in levels {
+        let mut dirout_degenerate = 0usize;
+        let mut dirout_direction_budget = 0usize;
+        let summary = run_repeated(reps, cfg.split_seed, |_seed| {
+            let outcome = outcomes.next().expect("one outcome per split")?;
+            dirout_degenerate += outcome.dirout_degenerate;
+            dirout_direction_budget += outcome.dirout_attempted;
+            Ok::<_, MfodError>(outcome.aucs)
         })?;
         rows.push(Fig3Row {
             contamination: c,
@@ -305,6 +352,69 @@ mod tests {
         for row in &rows {
             assert!(row.dirout_direction_budget > 0);
             assert!(row.dirout_degenerate <= row.dirout_direction_budget);
+        }
+    }
+
+    fn smoke_data(cfg: &Fig3Config) -> LabeledDataSet {
+        EcgSimulator::new(cfg.ecg.clone())
+            .unwrap()
+            .generate(cfg.n_normal, cfg.n_abnormal, cfg.data_seed)
+            .unwrap()
+            .augment_with(0, |y| y * y)
+            .unwrap()
+    }
+
+    #[test]
+    fn split_loop_is_identical_across_pool_sizes() {
+        let cfg = Fig3Config::smoke();
+        let data = smoke_data(&cfg);
+        let seq = run_fig3_with(&par::Pool::with_threads(1), &cfg, &data).unwrap();
+        let wide = run_fig3_with(&par::Pool::with_threads(8), &cfg, &data).unwrap();
+        let global = run_fig3_on(&cfg, &data).unwrap();
+        for other in [&wide, &global] {
+            assert_eq!(seq.len(), other.len());
+            for (a, b) in seq.iter().zip(other.iter()) {
+                assert_eq!(a.contamination.to_bits(), b.contamination.to_bits());
+                assert_eq!(a.dirout_degenerate, b.dirout_degenerate);
+                assert_eq!(a.dirout_direction_budget, b.dirout_direction_budget);
+                assert_eq!(a.summary.repetitions, b.summary.repetitions);
+                assert_eq!(a.summary.methods.len(), b.summary.methods.len());
+                for (ma, mb) in a.summary.methods.iter().zip(&b.summary.methods) {
+                    assert_eq!(ma.method, mb.method);
+                    assert_eq!(ma.mean.to_bits(), mb.mean.to_bits());
+                    assert_eq!(ma.std.to_bits(), mb.std.to_bits());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&ma.values), bits(&mb.values));
+                }
+            }
+        }
+        assert!(seq.iter().all(|row| row.dirout_direction_budget > 0));
+    }
+
+    #[test]
+    fn first_failing_split_in_level_order_is_reported() {
+        // 20 abnormal beats: a 30-beat training set at 90% contamination
+        // needs 27 outliers, at 95% even more — both levels fail on every
+        // split, and the earlier level's first repetition must win.
+        let cfg = Fig3Config {
+            contamination_levels: vec![0.10, 0.90, 0.95],
+            ..Fig3Config::smoke()
+        };
+        let data = smoke_data(&cfg);
+        let need_27 = SplitConfig {
+            train_size: cfg.train_size,
+            contamination: 0.90,
+        }
+        .split(&data, cfg.split_seed)
+        .unwrap_err();
+        let expected = MfodError::from(mfod_eval::EvalError::RepetitionFailed {
+            repetition: 0,
+            message: MfodError::from(need_27).to_string(),
+        })
+        .to_string();
+        for threads in [1, 8] {
+            let err = run_fig3_with(&par::Pool::with_threads(threads), &cfg, &data).unwrap_err();
+            assert_eq!(err.to_string(), expected, "{threads} threads");
         }
     }
 
