@@ -2,7 +2,9 @@
 //! `φ_1 … φ_L` on a closed interval, supporting evaluation of any derivative
 //! order and the roughness penalty matrices of Eq. 3 in the paper.
 
+use crate::grid::Grid;
 use mfod_linalg::Matrix;
+use std::sync::Arc;
 
 /// A finite basis of real functions on a closed domain `[a, b]`.
 ///
@@ -68,6 +70,19 @@ pub trait Basis: Send + Sync {
             self.eval_into(t, deriv, out.row_mut(j));
         }
         out
+    }
+
+    /// The `m x L` rows `Φ[j, l] = D^deriv φ_l(t_j)` on `grid`, shared.
+    ///
+    /// Every grid evaluation of a fitted datum reads these rows
+    /// ([`crate::datum::FunctionalDatum::eval_grid_deriv`]). Row `j`
+    /// holds exactly what [`Basis::eval`] returns at `t_j`, so a dot
+    /// product against it is bit-identical to evaluating point by point.
+    /// The default builds the rows afresh with [`Basis::design_matrix`];
+    /// [`crate::BSplineBasis`] memoizes them per grid, so every curve
+    /// expanded over one basis shares one build.
+    fn grid_rows(&self, grid: &Grid, deriv: usize) -> Arc<Matrix> {
+        Arc::new(self.design_matrix(grid.points(), deriv))
     }
 }
 

@@ -7,12 +7,18 @@
 //! penalty `R_q = ∫ D^q φ_j D^q φ_m dt` is assembled exactly by per-span
 //! Gauss–Legendre quadrature (the integrand is a polynomial of degree
 //! `≤ 2(k−1−q)` on each span).
+//!
+//! A basis memoizes its rows on the grids it is mapped on
+//! ([`Basis::grid_rows`]): the curves smoothed over one basis share one
+//! table per `(grid, derivative order)`, and the tables die with the basis.
 
 use crate::basis::Basis;
 use crate::error::FdaError;
+use crate::grid::Grid;
 use crate::Result;
 use mfod_linalg::quadrature::gauss_legendre_on;
 use mfod_linalg::Matrix;
+use std::sync::{Arc, Mutex};
 
 /// A B-spline basis of order `k` (degree `k − 1`) with an open-uniform knot
 /// vector on `[a, b]`.
@@ -27,6 +33,60 @@ pub struct BSplineBasis {
     len: usize,
     a: f64,
     b: f64,
+    rows: RowMemo,
+}
+
+/// The [`Basis::grid_rows`] tables this basis has built, one per
+/// `(derivative order, grid)`. A basis is mapped on one grid or a
+/// handful, so a linear scan finds the entry. Tables are built under the
+/// lock, so racing first uses build once.
+#[derive(Default)]
+struct RowMemo(Mutex<Vec<RowTable>>);
+
+struct RowTable {
+    deriv: usize,
+    /// The grid points' bit patterns: the key.
+    grid: Vec<u64>,
+    rows: Arc<Matrix>,
+}
+
+impl RowMemo {
+    fn get_or_build(
+        &self,
+        grid: &Grid,
+        deriv: usize,
+        build: impl FnOnce() -> Matrix,
+    ) -> Arc<Matrix> {
+        let key = grid.points().iter().map(|t| t.to_bits());
+        let mut tables = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(t) = tables
+            .iter()
+            .find(|t| t.deriv == deriv && t.grid.iter().copied().eq(key.clone()))
+        {
+            return Arc::clone(&t.rows);
+        }
+        let rows = Arc::new(build());
+        tables.push(RowTable {
+            deriv,
+            grid: key.collect(),
+            rows: Arc::clone(&rows),
+        });
+        rows
+    }
+}
+
+/// A cloned basis starts with no tables and builds its own on first use.
+impl Clone for RowMemo {
+    fn clone(&self) -> Self {
+        RowMemo::default()
+    }
+}
+
+impl std::fmt::Debug for RowMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let n = self.0.lock().map_or(0, |e| e.len());
+        write!(f, "RowMemo({n} tables)")
+    }
 }
 
 impl BSplineBasis {
@@ -62,6 +122,7 @@ impl BSplineBasis {
             len,
             a,
             b,
+            rows: RowMemo::default(),
         })
     }
 
@@ -100,6 +161,7 @@ impl BSplineBasis {
             len,
             a,
             b,
+            rows: RowMemo::default(),
         })
     }
 
@@ -303,6 +365,11 @@ impl Basis for BSplineBasis {
 
     fn name(&self) -> &'static str {
         "bspline"
+    }
+
+    fn grid_rows(&self, grid: &Grid, deriv: usize) -> Arc<Matrix> {
+        self.rows
+            .get_or_build(grid, deriv, || self.design_matrix(grid.points(), deriv))
     }
 
     fn snapshot(&self) -> Option<crate::snapshot::BasisSnapshot> {

@@ -244,12 +244,18 @@ impl FunctionalDatum {
 
     /// Evaluates the function on a grid.
     pub fn eval_grid(&self, grid: &Grid) -> Vec<f64> {
-        grid.iter().map(|t| self.eval(t)).collect()
+        self.eval_grid_deriv(grid, 0)
     }
 
-    /// Evaluates the `d`-th derivative on a grid.
+    /// Evaluates the `d`-th derivative on a grid: one dot product per grid
+    /// point against the basis's shared rows ([`Basis::grid_rows`]). That
+    /// is the operation [`FunctionalDatum::eval_deriv`] performs on the
+    /// same dense row, so the values are bit-identical to it.
     pub fn eval_grid_deriv(&self, grid: &Grid, d: usize) -> Vec<f64> {
-        grid.iter().map(|t| self.eval_deriv(t, d)).collect()
+        let rows = self.basis.grid_rows(grid, d);
+        (0..rows.nrows())
+            .map(|j| vector::dot(&self.coefs, rows.row(j)))
+            .collect()
     }
 }
 
@@ -310,27 +316,20 @@ impl MultiFunctionalDatum {
         self.channels.get(k)
     }
 
-    /// Evaluates the path position `X(t) ∈ R^p`.
-    pub fn eval_point(&self, t: f64) -> Vec<f64> {
-        self.channels.iter().map(|c| c.eval(t)).collect()
-    }
-
-    /// Evaluates the `d`-th derivative `D^d X(t) ∈ R^p`.
-    pub fn eval_deriv_point(&self, t: f64, d: usize) -> Vec<f64> {
-        self.channels.iter().map(|c| c.eval_deriv(t, d)).collect()
-    }
-
     /// Evaluates on a grid into an `m x p` matrix (rows = grid points).
     pub fn eval_grid(&self, grid: &Grid) -> Matrix {
         self.eval_grid_deriv(grid, 0)
     }
 
-    /// Evaluates the `d`-th derivative on a grid into an `m x p` matrix.
+    /// Evaluates the `d`-th derivative on a grid into an `m x p` matrix:
+    /// row `j` is `D^d X(t_j)`. Each channel is
+    /// [`FunctionalDatum::eval_grid_deriv`], which reads its basis's shared
+    /// rows ([`Basis::grid_rows`]).
     pub fn eval_grid_deriv(&self, grid: &Grid, d: usize) -> Matrix {
         let mut out = Matrix::zeros(grid.len(), self.dim());
-        for (j, t) in grid.iter().enumerate() {
-            for (k, c) in self.channels.iter().enumerate() {
-                out[(j, k)] = c.eval_deriv(t, d);
+        for (k, c) in self.channels.iter().enumerate() {
+            for (j, v) in c.eval_grid_deriv(grid, d).into_iter().enumerate() {
+                out[(j, k)] = v;
             }
         }
         out
@@ -341,6 +340,7 @@ impl MultiFunctionalDatum {
 mod tests {
     use super::*;
     use crate::bspline::BSplineBasis;
+    use crate::fourier::FourierBasis;
     use crate::polynomial::PolynomialBasis;
 
     fn linear_datum(slope: f64, intercept: f64) -> FunctionalDatum {
@@ -424,15 +424,14 @@ mod tests {
         let mfd = MultiFunctionalDatum::new(vec![linear_datum(1.0, 0.0), linear_datum(-2.0, 1.0)])
             .unwrap();
         assert_eq!(mfd.dim(), 2);
-        let x = mfd.eval_point(0.5);
-        assert!((x[0] - 0.5).abs() < 1e-12);
-        assert!((x[1] - 0.0).abs() < 1e-12);
-        let dx = mfd.eval_deriv_point(0.5, 1);
-        assert_eq!(dx, vec![1.0, -2.0]);
         let g = Grid::uniform(0.0, 1.0, 3).unwrap();
         let m = mfd.eval_grid(&g);
         assert_eq!(m.shape(), (3, 2));
+        assert!((m[(1, 0)] - 0.5).abs() < 1e-12);
+        assert!((m[(1, 1)] - 0.0).abs() < 1e-12);
         assert!((m[(2, 1)] + 1.0).abs() < 1e-12);
+        let dm = mfd.eval_grid_deriv(&g, 1);
+        assert_eq!(dm.row(1), &[1.0, -2.0]);
         assert!(mfd.channel(0).is_some());
         assert!(mfd.channel(9).is_none());
     }
@@ -467,5 +466,150 @@ mod tests {
         assert!((fit.eval(0.5) - 0.125).abs() < 1e-9);
         assert!((fit.eval_deriv(0.5, 1) - 0.75).abs() < 1e-8);
         assert!((fit.eval_deriv(0.5, 2) - 3.0).abs() < 1e-7);
+    }
+
+    /// Per-point reference for the table path: `eval_deriv` at every grid
+    /// point, as bit patterns.
+    fn pointwise_bits(datum: &FunctionalDatum, grid: &Grid, d: usize) -> Vec<u64> {
+        grid.iter()
+            .map(|t| datum.eval_deriv(t, d).to_bits())
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn wavy_coefs(n: usize) -> Vec<f64> {
+        (0..n).map(|l| ((l as f64 + 0.3) * 1.7).sin()).collect()
+    }
+
+    #[test]
+    fn bspline_grid_rows_match_pointwise_on_knots_and_outside_domain() {
+        for order in 1..=5 {
+            let concrete = BSplineBasis::uniform(0.0, 1.0, 9, order).unwrap();
+            // every distinct knot, points between them, and points outside
+            // [0, 1] that evaluation clamps onto the domain
+            let mut pts = vec![-0.25, 1.4];
+            for w in concrete.knots().windows(2) {
+                pts.push(w[0]);
+                pts.push(0.5 * (w[0] + w[1]));
+            }
+            pts.sort_by(f64::total_cmp);
+            pts.dedup();
+            let grid = Grid::new(pts).unwrap();
+            let basis: Arc<dyn Basis> = Arc::new(concrete);
+            let datum = FunctionalDatum::new(Arc::clone(&basis), wavy_coefs(9)).unwrap();
+            // derivative orders up to two above the degree (identically 0)
+            for d in 0..=order + 1 {
+                assert_eq!(
+                    bits(&datum.eval_grid_deriv(&grid, d)),
+                    pointwise_bits(&datum, &grid, d),
+                    "order {order}, derivative {d}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fourier_and_polynomial_grid_rows_match_pointwise() {
+        let bases: [Arc<dyn Basis>; 2] = [
+            Arc::new(FourierBasis::new(0.0, 2.0, 7).unwrap()),
+            Arc::new(PolynomialBasis::new(0.0, 2.0, 5).unwrap()),
+        ];
+        let grid = Grid::new(vec![-0.5, 0.0, 0.3, 1.0, 1.7, 2.0, 2.5]).unwrap();
+        for basis in bases {
+            let datum = FunctionalDatum::new(Arc::clone(&basis), wavy_coefs(basis.len())).unwrap();
+            for d in 0..=5 {
+                assert_eq!(
+                    bits(&datum.eval_grid_deriv(&grid, d)),
+                    pointwise_bits(&datum, &grid, d),
+                    "{} derivative {d}",
+                    basis.name()
+                );
+            }
+            assert_eq!(
+                bits(&datum.eval_grid(&grid)),
+                pointwise_bits(&datum, &grid, 0)
+            );
+        }
+    }
+
+    #[test]
+    fn multivariate_grid_rows_match_per_channel_pointwise() {
+        let spline: Arc<dyn Basis> = Arc::new(BSplineBasis::uniform(0.0, 1.0, 11, 4).unwrap());
+        let fourier: Arc<dyn Basis> = Arc::new(FourierBasis::new(0.0, 1.0, 5).unwrap());
+        let channels = vec![
+            FunctionalDatum::new(Arc::clone(&spline), wavy_coefs(11)).unwrap(),
+            FunctionalDatum::new(fourier, wavy_coefs(5)).unwrap(),
+            FunctionalDatum::new(spline, wavy_coefs(12)[1..].to_vec()).unwrap(),
+        ];
+        let mfd = MultiFunctionalDatum::new(channels).unwrap();
+        let grid = Grid::uniform(0.0, 1.0, 85).unwrap();
+        for d in 0..=3 {
+            let m = mfd.eval_grid_deriv(&grid, d);
+            for (k, c) in mfd.channels().iter().enumerate() {
+                assert_eq!(
+                    bits(&m.col(k)),
+                    pointwise_bits(c, &grid, d),
+                    "channel {k}, d {d}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn one_basis_alternating_between_grids_stays_exact() {
+        let basis: Arc<dyn Basis> = Arc::new(BSplineBasis::uniform(0.0, 1.0, 12, 4).unwrap());
+        let datum = FunctionalDatum::new(Arc::clone(&basis), wavy_coefs(12)).unwrap();
+        let g1 = Grid::uniform(0.0, 1.0, 85).unwrap();
+        let g2 = Grid::uniform(0.0, 1.0, 33).unwrap();
+        // same length as g1, one point one ulp away: a different key
+        let mut nudged = g1.points().to_vec();
+        nudged[40] = f64::from_bits(nudged[40].to_bits() + 1);
+        let g3 = Grid::new(nudged).unwrap();
+        for _round in 0..3 {
+            for grid in [&g1, &g2, &g3] {
+                for d in 0..=2 {
+                    assert_eq!(
+                        bits(&datum.eval_grid_deriv(grid, d)),
+                        pointwise_bits(&datum, grid, d)
+                    );
+                }
+            }
+        }
+        assert!(Arc::ptr_eq(
+            &basis.grid_rows(&g1, 1),
+            &basis.grid_rows(&g1, 1)
+        ));
+        assert!(!Arc::ptr_eq(
+            &basis.grid_rows(&g1, 1),
+            &basis.grid_rows(&g3, 1)
+        ));
+        assert!(!Arc::ptr_eq(
+            &basis.grid_rows(&g1, 1),
+            &basis.grid_rows(&g1, 2)
+        ));
+    }
+
+    #[test]
+    fn racing_first_uses_of_one_basis_share_one_table() {
+        let basis: Arc<dyn Basis> = Arc::new(BSplineBasis::uniform(0.0, 1.0, 15, 4).unwrap());
+        let grid = Grid::uniform(0.0, 1.0, 85).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let tables: Vec<Arc<Matrix>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        basis.grid_rows(&grid, 2)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&tables[0], &tables[1]));
+        let fresh = basis.design_matrix(grid.points(), 2);
+        assert_eq!(bits(tables[0].as_slice()), bits(fresh.as_slice()));
     }
 }

@@ -229,9 +229,9 @@ proptest! {
         let g = Grid::uniform(0.0, 1.0, 7).unwrap();
         let m = mfd.eval_grid(&g);
         for (j, t) in g.iter().enumerate() {
-            let pt = mfd.eval_point(t);
-            prop_assert!((m[(j, 0)] - pt[0]).abs() < 1e-12);
-            prop_assert!((m[(j, 1)] - pt[1]).abs() < 1e-12);
+            for (k, c) in mfd.channels().iter().enumerate() {
+                prop_assert_eq!(m[(j, k)].to_bits(), c.eval(t).to_bits());
+            }
         }
     }
 }

@@ -2,10 +2,9 @@
 //! derivative) back out of the MFD. These serve as ablation baselines — the
 //! degenerate aggregation that ignores cross-channel geometry.
 
-use crate::mapping::MappingFunction;
+use crate::mapping::{finite, MappingFunction};
 use crate::{GeometryError, Result};
 use mfod_fda::{Grid, MultiFunctionalDatum};
-use mfod_linalg::vector;
 
 /// Extracts channel `channel`'s `deriv`-th derivative evaluated on the grid.
 ///
@@ -60,11 +59,7 @@ impl MappingFunction for ComponentMapping {
                 channel: self.channel,
                 dim: datum.dim(),
             })?;
-        let out = channel.eval_grid_deriv(grid, self.deriv);
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+        finite(channel.eval_grid_deriv(grid, self.deriv))
     }
 }
 

@@ -15,9 +15,14 @@
 //! curvature is undefined; both mappings return `0` there. This matches the
 //! use in the paper: a stationary point of a *smoothed* path is a
 //! measure-zero event and the downstream detector consumes grid samples.
+//!
+//! Both read `X′` and `X″` on the whole grid from
+//! [`MultiFunctionalDatum::eval_grid_deriv`], i.e. from each channel
+//! basis's rows on the grid, built once per `(basis, grid)` and shared by
+//! every curve smoothed over that basis (see [`crate::mapping`]).
 
-use crate::mapping::{MappingFunction, SPEED_EPS};
-use crate::{GeometryError, Result};
+use crate::mapping::{finite, MappingFunction, SPEED_EPS};
+use crate::Result;
 use mfod_fda::{Grid, MultiFunctionalDatum};
 use mfod_linalg::vector;
 
@@ -61,16 +66,13 @@ impl MappingFunction for Curvature {
 
     fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
         self.check_dim(datum)?;
-        let mut out = Vec::with_capacity(grid.len());
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let a = datum.eval_deriv_point(t, 2);
-            out.push(curvature_from_derivatives(&v, &a));
-        }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+        let v = datum.eval_grid_deriv(grid, 1);
+        let a = datum.eval_grid_deriv(grid, 2);
+        finite(
+            (0..grid.len())
+                .map(|j| curvature_from_derivatives(v.row(j), a.row(j)))
+                .collect(),
+        )
     }
 }
 
@@ -98,28 +100,25 @@ impl MappingFunction for CurvatureEq5 {
 
     fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
         self.check_dim(datum)?;
+        let vs = datum.eval_grid_deriv(grid, 1);
+        let accs = datum.eval_grid_deriv(grid, 2);
+        let mut tprime = vec![0.0; datum.dim()];
         let mut out = Vec::with_capacity(grid.len());
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let a = datum.eval_deriv_point(t, 2);
-            let speed = vector::norm2(&v);
+        for j in 0..grid.len() {
+            let (v, a) = (vs.row(j), accs.row(j));
+            let speed = vector::norm2(v);
             if speed < SPEED_EPS {
                 out.push(0.0);
                 continue;
             }
             // T' = a/‖v‖ − v (v·a)/‖v‖³
-            let va = vector::dot(&v, &a);
-            let mut tprime: Vec<f64> = a.iter().map(|ai| ai / speed).collect();
-            let coef = va / (speed * speed * speed);
-            for (tp, vi) in tprime.iter_mut().zip(&v) {
-                *tp -= coef * vi;
+            let coef = vector::dot(v, a) / (speed * speed * speed);
+            for ((tp, ai), vi) in tprime.iter_mut().zip(a).zip(v) {
+                *tp = ai / speed - coef * vi;
             }
             out.push(vector::norm2(&tprime) / speed);
         }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+        finite(out)
     }
 }
 
@@ -160,8 +159,76 @@ impl MappingFunction for RadiusOfCurvature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits, cusp_path, deriv_at, parity_grid, spline_path};
+    use crate::GeometryError;
     use mfod_fda::prelude::*;
     use std::sync::Arc;
+
+    /// Per-point reference for [`Curvature`]: the derivatives evaluated
+    /// one grid point at a time.
+    fn reference_curvature(datum: &MultiFunctionalDatum, grid: &Grid) -> Vec<f64> {
+        grid.iter()
+            .map(|t| curvature_from_derivatives(&deriv_at(datum, t, 1), &deriv_at(datum, t, 2)))
+            .collect()
+    }
+
+    /// Per-point reference for [`CurvatureEq5`].
+    fn reference_eq5(datum: &MultiFunctionalDatum, grid: &Grid) -> Vec<f64> {
+        grid.iter()
+            .map(|t| {
+                let v = deriv_at(datum, t, 1);
+                let a = deriv_at(datum, t, 2);
+                let speed = vector::norm2(&v);
+                if speed < SPEED_EPS {
+                    return 0.0;
+                }
+                let va = vector::dot(&v, &a);
+                let mut tprime: Vec<f64> = a.iter().map(|ai| ai / speed).collect();
+                let coef = va / (speed * speed * speed);
+                for (tp, vi) in tprime.iter_mut().zip(&v) {
+                    *tp -= coef * vi;
+                }
+                vector::norm2(&tprime) / speed
+            })
+            .collect()
+    }
+
+    #[test]
+    fn grid_table_path_matches_per_point_reference() {
+        let grid = parity_grid();
+        let paths = [
+            spline_path(2),
+            spline_path(4),
+            cusp_path(2),
+            cusp_path(3),
+            circle(1.5),
+        ];
+        for datum in &paths {
+            let kappa = reference_curvature(datum, &grid);
+            assert_eq!(bits(&Curvature.map(datum, &grid).unwrap()), bits(&kappa));
+            assert_eq!(
+                bits(&CurvatureEq5.map(datum, &grid).unwrap()),
+                bits(&reference_eq5(datum, &grid))
+            );
+            let radius: Vec<f64> = kappa
+                .iter()
+                .map(|&k| {
+                    if k < SPEED_EPS {
+                        1.0 / SPEED_EPS
+                    } else {
+                        1.0 / k
+                    }
+                })
+                .collect();
+            assert_eq!(
+                bits(&RadiusOfCurvature.map(datum, &grid).unwrap()),
+                bits(&radius)
+            );
+        }
+        // the cusp's stationary point maps to 0 by convention
+        assert_eq!(Curvature.map(&paths[2], &grid).unwrap()[32], 0.0);
+        assert_eq!(CurvatureEq5.map(&paths[2], &grid).unwrap()[32], 0.0);
+    }
 
     /// Builds the circle of radius `r` traversed once on [0, 1] as a
     /// bivariate functional datum via the Fourier basis.

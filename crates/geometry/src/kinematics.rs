@@ -5,11 +5,24 @@
 //! to *magnitude/isolated* outlyingness (a spike changes `‖X′‖` sharply),
 //! while arc length accumulates persistent deviations — together they cover
 //! the Hubert et al. taxonomy discussed in Sec. 1.1 of the paper.
+//!
+//! Like every mapping they read the derivatives on the whole grid from
+//! the channel bases' shared rows (see [`crate::mapping`]).
 
-use crate::mapping::{MappingFunction, SPEED_EPS};
-use crate::{GeometryError, Result};
+use crate::mapping::{finite, MappingFunction, SPEED_EPS};
+use crate::Result;
 use mfod_fda::{Grid, MultiFunctionalDatum};
 use mfod_linalg::vector;
+
+/// `‖D^d X(t_j)‖` at every grid point.
+fn deriv_norms(datum: &MultiFunctionalDatum, grid: &Grid, d: usize) -> Result<Vec<f64>> {
+    let rows = datum.eval_grid_deriv(grid, d);
+    finite(
+        (0..grid.len())
+            .map(|j| vector::norm2(rows.row(j)))
+            .collect(),
+    )
+}
 
 /// Speed mapping `s(t) = ‖D¹X(t)‖`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,14 +39,7 @@ impl MappingFunction for Speed {
 
     fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
         self.check_dim(datum)?;
-        let out: Vec<f64> = grid
-            .iter()
-            .map(|t| vector::norm2(&datum.eval_deriv_point(t, 1)))
-            .collect();
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+        deriv_norms(datum, grid, 1)
     }
 }
 
@@ -92,14 +98,7 @@ impl MappingFunction for Acceleration {
 
     fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
         self.check_dim(datum)?;
-        let out: Vec<f64> = grid
-            .iter()
-            .map(|t| vector::norm2(&datum.eval_deriv_point(t, 2)))
-            .collect();
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+        deriv_norms(datum, grid, 2)
     }
 }
 
@@ -154,13 +153,14 @@ impl MappingFunction for TurningAngle {
 
     fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
         self.check_dim(datum)?;
+        let vs = datum.eval_grid_deriv(grid, 1);
         let mut out = Vec::with_capacity(grid.len());
         let mut prev_raw: Option<f64> = None;
         let mut offset = 0.0;
         let mut last = 0.0;
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let angle = if vector::norm2(&v) < SPEED_EPS {
+        for j in 0..grid.len() {
+            let v = vs.row(j);
+            let angle = if vector::norm2(v) < SPEED_EPS {
                 last // carry the last well-defined angle forward
             } else {
                 let raw = v[1].atan2(v[0]);
@@ -182,18 +182,97 @@ impl MappingFunction for TurningAngle {
             last = angle;
             out.push(angle);
         }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+        finite(out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits, cusp_path, deriv_at, parity_grid, spline_path};
+    use crate::GeometryError;
     use mfod_fda::prelude::*;
     use std::sync::Arc;
+
+    /// Per-point reference for [`Speed`] (`d = 1`) and [`Acceleration`]
+    /// (`d = 2`): the derivatives evaluated one grid point at a time.
+    fn reference_norms(datum: &MultiFunctionalDatum, grid: &Grid, d: usize) -> Vec<f64> {
+        grid.iter()
+            .map(|t| vector::norm2(&deriv_at(datum, t, d)))
+            .collect()
+    }
+
+    /// Per-point reference for [`TurningAngle`].
+    fn reference_turning_angle(datum: &MultiFunctionalDatum, grid: &Grid) -> Vec<f64> {
+        let mut out = Vec::with_capacity(grid.len());
+        let mut prev_raw: Option<f64> = None;
+        let mut offset = 0.0;
+        let mut last = 0.0;
+        for t in grid.iter() {
+            let v = deriv_at(datum, t, 1);
+            let angle = if vector::norm2(&v) < SPEED_EPS {
+                last
+            } else {
+                let raw = v[1].atan2(v[0]);
+                if let Some(p) = prev_raw {
+                    let mut d = raw - p;
+                    while d > std::f64::consts::PI {
+                        d -= std::f64::consts::TAU;
+                        offset -= std::f64::consts::TAU;
+                    }
+                    while d < -std::f64::consts::PI {
+                        d += std::f64::consts::TAU;
+                        offset += std::f64::consts::TAU;
+                    }
+                }
+                prev_raw = Some(raw);
+                raw + offset
+            };
+            last = angle;
+            out.push(angle);
+        }
+        out
+    }
+
+    #[test]
+    fn grid_table_path_matches_per_point_reference() {
+        let grid = parity_grid();
+        let paths = [
+            spline_path(1),
+            spline_path(2),
+            spline_path(3),
+            cusp_path(2),
+            cusp_path(3),
+            circle(2.0),
+        ];
+        for datum in &paths {
+            let speed = reference_norms(datum, &grid, 1);
+            assert_eq!(bits(&Speed.map(datum, &grid).unwrap()), bits(&speed));
+            let log: Vec<f64> = speed.iter().map(|s| (s + SPEED_EPS).ln()).collect();
+            assert_eq!(bits(&LogSpeed.map(datum, &grid).unwrap()), bits(&log));
+            let arc = vector::cumtrapz(grid.points(), &speed);
+            assert_eq!(bits(&ArcLength.map(datum, &grid).unwrap()), bits(&arc));
+            let srvf: Vec<f64> = speed.iter().map(|s| s.sqrt()).collect();
+            assert_eq!(bits(&SrvfNorm.map(datum, &grid).unwrap()), bits(&srvf));
+            assert_eq!(
+                bits(&Acceleration.map(datum, &grid).unwrap()),
+                bits(&reference_norms(datum, &grid, 2))
+            );
+        }
+        // planar paths: a stationary point carries the angle forward, and
+        // two full turns of a circle unwrap across the ±π cut
+        let two_turns = circle_turns(1.0, 2);
+        for datum in [&paths[1], &paths[3], &paths[5], &two_turns] {
+            assert_eq!(
+                bits(&TurningAngle.map(datum, &grid).unwrap()),
+                bits(&reference_turning_angle(datum, &grid))
+            );
+        }
+        let cusp = TurningAngle.map(&paths[3], &grid).unwrap();
+        assert_eq!(cusp[32], cusp[31], "stationary point carries the angle");
+        let th = TurningAngle.map(&two_turns, &grid).unwrap();
+        assert!((th[64] - th[0]).abs() > 4.0 * std::f64::consts::PI - 1e-6);
+    }
 
     fn line(slope_x: f64, slope_y: f64) -> MultiFunctionalDatum {
         let basis: Arc<dyn Basis> = Arc::new(PolynomialBasis::new(0.0, 1.0, 2).unwrap());
@@ -203,10 +282,20 @@ mod tests {
     }
 
     fn circle(r: f64) -> MultiFunctionalDatum {
-        let basis: Arc<dyn Basis> = Arc::new(FourierBasis::new(0.0, 1.0, 3).unwrap());
+        circle_turns(r, 1)
+    }
+
+    /// A circle of radius `r` traversed `turns` times on [0, 1], through
+    /// the `turns`-th Fourier harmonic pair.
+    fn circle_turns(r: f64, turns: usize) -> MultiFunctionalDatum {
+        let len = 2 * turns + 1;
+        let basis: Arc<dyn Basis> = Arc::new(FourierBasis::new(0.0, 1.0, len).unwrap());
         let amp = r / 2.0_f64.sqrt();
-        let x = FunctionalDatum::new(Arc::clone(&basis), vec![0.0, 0.0, amp]).unwrap();
-        let y = FunctionalDatum::new(basis, vec![0.0, amp, 0.0]).unwrap();
+        let (mut cx, mut cy) = (vec![0.0; len], vec![0.0; len]);
+        cx[len - 1] = amp;
+        cy[len - 2] = amp;
+        let x = FunctionalDatum::new(Arc::clone(&basis), cx).unwrap();
+        let y = FunctionalDatum::new(basis, cy).unwrap();
         MultiFunctionalDatum::new(vec![x, y]).unwrap()
     }
 

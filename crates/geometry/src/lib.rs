@@ -47,6 +47,8 @@ pub mod error;
 pub mod kinematics;
 pub mod mapping;
 pub mod snapshot;
+#[cfg(test)]
+mod testutil;
 pub mod torsion;
 
 pub use component::ComponentMapping;

@@ -1,8 +1,18 @@
 //! The [`MappingFunction`] trait: geometric aggregation of a `p`-channel
 //! functional datum into a univariate functional datum sampled on a grid.
+//!
+//! **Where the derivatives come from.** A mapping reads `X′`, `X″`, …
+//! on the whole grid at once through
+//! [`MultiFunctionalDatum::eval_grid_deriv`]: one `m x p` matrix per
+//! derivative order, each entry a dot product of a channel's coefficients
+//! with its basis's rows on the grid (`Basis::grid_rows`). A B-spline
+//! basis builds those rows once per grid and keeps them, so mapping a
+//! batch of curves smoothed over the same few bases costs dot products
+//! only, bit-identical to evaluating each point on its own.
 
-use crate::Result;
+use crate::{GeometryError, Result};
 use mfod_fda::{Grid, MultiFunctionalDatum};
+use mfod_linalg::vector;
 
 /// Numerical floor below which a velocity is treated as zero (stationary
 /// point convention; see [`crate::curvature::Curvature`]).
@@ -48,13 +58,23 @@ pub trait MappingFunction: Send + Sync {
     fn check_dim(&self, datum: &MultiFunctionalDatum) -> Result<()> {
         let p = datum.dim();
         if p < self.min_dim() || p > self.max_dim() {
-            return Err(crate::GeometryError::DimensionUnsupported {
+            return Err(GeometryError::DimensionUnsupported {
                 mapping: self.name(),
                 need: self.min_dim(),
                 got: p,
             });
         }
         Ok(())
+    }
+}
+
+/// Passes a mapped curve through, or fails with
+/// [`GeometryError::NonFinite`] if any value is NaN or infinite.
+pub(crate) fn finite(out: Vec<f64>) -> Result<Vec<f64>> {
+    if vector::all_finite(&out) {
+        Ok(out)
+    } else {
+        Err(GeometryError::NonFinite)
     }
 }
 
@@ -72,7 +92,6 @@ pub fn map_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GeometryError;
     use mfod_fda::prelude::*;
     use std::sync::Arc;
 

@@ -1,7 +1,7 @@
 //! Torsion mapping for space curves (`p = 3`).
 
-use crate::mapping::{MappingFunction, SPEED_EPS};
-use crate::{GeometryError, Result};
+use crate::mapping::{finite, MappingFunction, SPEED_EPS};
+use crate::Result;
 use mfod_fda::{Grid, MultiFunctionalDatum};
 use mfod_linalg::vector;
 
@@ -50,25 +50,44 @@ impl MappingFunction for Torsion {
 
     fn map(&self, datum: &MultiFunctionalDatum, grid: &Grid) -> Result<Vec<f64>> {
         self.check_dim(datum)?;
-        let mut out = Vec::with_capacity(grid.len());
-        for t in grid.iter() {
-            let v = datum.eval_deriv_point(t, 1);
-            let a = datum.eval_deriv_point(t, 2);
-            let j = datum.eval_deriv_point(t, 3);
-            out.push(torsion_from_derivatives(&v, &a, &j));
-        }
-        if !vector::all_finite(&out) {
-            return Err(GeometryError::NonFinite);
-        }
-        Ok(out)
+        let v = datum.eval_grid_deriv(grid, 1);
+        let a = datum.eval_grid_deriv(grid, 2);
+        let jerk = datum.eval_grid_deriv(grid, 3);
+        finite(
+            (0..grid.len())
+                .map(|j| torsion_from_derivatives(v.row(j), a.row(j), jerk.row(j)))
+                .collect(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{bits, cusp_path, deriv_at, parity_grid, spline_path};
+    use crate::GeometryError;
     use mfod_fda::prelude::*;
     use std::sync::Arc;
+
+    #[test]
+    fn grid_table_path_matches_per_point_reference() {
+        let grid = parity_grid();
+        for datum in [spline_path(3), cusp_path(3)] {
+            let reference: Vec<f64> = grid
+                .iter()
+                .map(|t| {
+                    torsion_from_derivatives(
+                        &deriv_at(&datum, t, 1),
+                        &deriv_at(&datum, t, 2),
+                        &deriv_at(&datum, t, 3),
+                    )
+                })
+                .collect();
+            assert_eq!(bits(&Torsion.map(&datum, &grid).unwrap()), bits(&reference));
+        }
+        // the cusp's stationary point maps to 0 by convention
+        assert_eq!(Torsion.map(&cusp_path(3), &grid).unwrap()[32], 0.0);
+    }
 
     #[test]
     fn helix_torsion_analytic() {

@@ -111,8 +111,8 @@ proptest! {
             prop_assert!(w[1] >= w[0] - 1e-12);
         }
         // arc length >= straight-line distance between endpoints
-        let p0 = path.eval_point(0.0);
-        let p1 = path.eval_point(1.0);
+        let p0: Vec<f64> = path.channels().iter().map(|c| c.eval(0.0)).collect();
+        let p1: Vec<f64> = path.channels().iter().map(|c| c.eval(1.0)).collect();
         let chord = mfod_linalg::vector::dist2(&p0, &p1);
         prop_assert!(l[40] >= chord - 1e-6, "arc {} < chord {chord}", l[40]);
     }

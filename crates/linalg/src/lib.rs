@@ -10,8 +10,6 @@
 //! factorizations used throughout the workspace:
 //!
 //! * [`cholesky::Cholesky`] — SPD solves for ridge/smoothing systems,
-//! * [`lu::Lu`] — general square solves, determinants and inverses,
-//! * [`qr::Qr`] — Householder QR for least squares,
 //! * [`eigen::jacobi_eigen`] — symmetric eigendecomposition (Jacobi).
 //!
 //! Free-function vector kernels (dot products, norms, robust statistics such
@@ -39,19 +37,15 @@
 pub mod cholesky;
 pub mod eigen;
 pub mod error;
-pub mod lu;
 pub mod matrix;
 pub mod par;
-pub mod qr;
 pub mod quadrature;
 pub mod shared;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
-pub use qr::Qr;
 pub use shared::{SharedF64s, SharedOwner};
 
 /// Workspace-wide `Result` alias for linear algebra operations.

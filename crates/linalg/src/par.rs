@@ -683,10 +683,15 @@ enum Never {}
 
 #[cfg(test)]
 mod tests {
+    //! Every test that runs work on a pool holds `serial_guard`, so a
+    //! `pool.panic` rule armed by `injected_pool_faults_surface_like_real_ones`
+    //! cannot fire inside it.
+
     use super::*;
 
     #[test]
     fn matches_sequential_map() {
+        let _guard = mfod_faultline::serial_guard();
         for n in [0usize, 1, 2, 7, 64, 1000] {
             let seq: Vec<u64> = (0..n)
                 .map(|i| (i as u64).wrapping_mul(0x9E37) >> 3)
@@ -698,6 +703,7 @@ mod tests {
 
     #[test]
     fn error_propagates() {
+        let _guard = mfod_faultline::serial_guard();
         let r: Result<Vec<usize>, String> = par_try_map(100, |i| {
             if i == 63 {
                 Err(format!("boom {i}"))
@@ -712,6 +718,7 @@ mod tests {
 
     #[test]
     fn first_error_in_index_order_wins() {
+        let _guard = mfod_faultline::serial_guard();
         // Errors at indices 10 and 90 land in different sub-chunks on any
         // thread count; the reassembly order guarantees index 10 reports.
         let pool = Pool::with_threads(4);
@@ -774,6 +781,7 @@ mod tests {
 
     #[test]
     fn explicit_pools_agree_with_each_other_and_sequential() {
+        let _guard = mfod_faultline::serial_guard();
         let work = |i: usize| ((i as f64) * 0.6180339887).sin().to_bits();
         let seq: Vec<u64> = (0..257).map(work).collect();
         for threads in [1usize, 2, 3, 8] {
@@ -788,6 +796,7 @@ mod tests {
 
     #[test]
     fn unbalanced_items_are_bit_identical_to_sequential() {
+        let _guard = mfod_faultline::serial_guard();
         // Exponential per-item cost: the last items dominate, exactly the
         // shape the stealing scheduler exists for. The *output* must not
         // care which thread stole what.
@@ -810,6 +819,7 @@ mod tests {
 
     #[test]
     fn pool_is_reusable_across_many_calls() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         for round in 0..200usize {
             let out = pool.map(round % 37, |i| i * round);
@@ -819,6 +829,7 @@ mod tests {
 
     #[test]
     fn panic_payload_reaches_the_caller_and_pool_survives() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             pool.map(64, |i| {
@@ -882,6 +893,7 @@ mod tests {
 
     #[test]
     fn earliest_chunk_failure_wins_across_kinds() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(4);
         // Error in an early sub-chunk beats a panic in a late one (that
         // is what a sequential loop would have hit first).
@@ -914,6 +926,7 @@ mod tests {
 
     #[test]
     fn sequential_path_panics_transparently() {
+        let _guard = mfod_faultline::serial_guard();
         // n < 2 runs inline; the panic must still carry the payload.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             par_map(1, |_| -> usize { std::panic::panic_any(7usize) })
@@ -924,6 +937,7 @@ mod tests {
 
     #[test]
     fn nested_maps_on_the_same_pool_do_not_deadlock() {
+        let _guard = mfod_faultline::serial_guard();
         let pool = Pool::with_threads(2);
         let out = pool.map(4, |i| pool.map(4, move |j| i * 10 + j));
         let expected: Vec<Vec<usize>> = (0..4)
@@ -934,6 +948,7 @@ mod tests {
 
     #[test]
     fn global_functions_use_one_shared_pool() {
+        let _guard = mfod_faultline::serial_guard();
         // Nested global calls exercise the steal-while-waiting path on
         // the machine's real pool.
         let out = par_try_map(8, |i| {

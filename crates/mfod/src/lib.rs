@@ -22,7 +22,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`mfod_linalg`] | dense matrices, Cholesky/LU/QR/eigen, quadrature |
+//! | [`mfod_linalg`] | dense matrices, Cholesky/eigen, quadrature |
 //! | [`mfod_fda`] | bases (B-spline/Fourier/polynomial), penalized smoothing, LOOCV selection |
 //! | [`mfod_geometry`] | mapping functions: curvature, speed, arc length, torsion, … |
 //! | [`mfod_depth`] | baselines: FUNTA, Dir.out, integrated/infimum depth, MBD |

@@ -208,10 +208,16 @@ impl HistogramSnapshot {
     }
 
     /// Upper-bound quantile: the inclusive upper edge of the bucket in
-    /// which the `ceil(p·count)`-th smallest value falls. `None` when
-    /// empty; `p` is clamped to `[0, 1]`. Monotone in `p` by
-    /// construction (the cumulative walk never moves backwards).
+    /// which the `ceil(p·count)`-th smallest value falls, clamped to the
+    /// observed `max` so no quantile ever exceeds it. `None` when empty;
+    /// `p` is clamped to `[0, 1]`. Monotone in `p` by construction (the
+    /// cumulative walk never moves backwards).
     pub fn quantile(&self, p: f64) -> Option<u64> {
+        self.bucket_quantile(p).map(|edge| edge.min(self.max))
+    }
+
+    /// The unclamped bucket edge behind [`HistogramSnapshot::quantile`].
+    fn bucket_quantile(&self, p: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -324,9 +330,35 @@ mod tests {
         assert_eq!(s.max, 1000);
         assert_eq!(s.buckets.iter().sum::<u64>(), 5);
         assert_eq!(s.mean(), Some(1012.0 / 5.0));
-        // 1000 has bit length 10 → bucket 10, upper edge 1023.
-        assert_eq!(s.quantile(1.0), Some(1023));
+        // 1000 has bit length 10 → bucket 10, upper edge 1023, clamped
+        // to the observed max.
+        assert_eq!(s.quantile(1.0), Some(1000));
         assert_eq!(s.quantile(0.0), Some(0));
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_observed_max() {
+        // A queue-wait histogram whose p95 bucket edge (2^22 − 1 ns ≈
+        // 4.2 ms) lies above the largest wait (2.9 ms): the bucket edge
+        // alone would report p95 = 4.2 ms against max = 2.9 ms.
+        let h = Histogram::new();
+        for v in 0..100u64 {
+            h.record(1_000_000 + v * 19_000);
+        }
+        let s = h.snapshot();
+        assert_eq!(s.max, 2_881_000);
+        assert_eq!(bucket_upper_edge(bucket_index(s.max)), (1 << 22) - 1);
+        for p in [0.5, 0.95, 0.99, 1.0] {
+            let q = s.quantile(p).unwrap();
+            assert!(q <= s.max, "q({p}) = {q} above max {}", s.max);
+        }
+        assert_eq!(s.quantile(0.95), Some(s.max));
+        // values below the max keep their bucket edge
+        let low = Histogram::new();
+        for v in [3u64, 5, 900] {
+            low.record(v);
+        }
+        assert_eq!(low.snapshot().quantile(0.5), Some(7));
     }
 
     #[test]

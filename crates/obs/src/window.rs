@@ -299,6 +299,9 @@ mod tests {
         // the reclaimed one, which was zeroed.
         assert_eq!(s.count, 1);
         assert_eq!(s.max, 1_000_000);
+        // the rolling quantile is clamped to the window's max, not the
+        // bucket edge 2^20 − 1
+        assert_eq!(s.quantile(0.99), Some(1_000_000));
     }
 
     #[test]

@@ -693,6 +693,10 @@ pub fn load<T: Snapshot>(path: &Path) -> Result<T> {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that writes through a persist fault hook (save, promote,
+    //! log append) holds `serial_guard`, so a rule armed by a fault test
+    //! in this binary cannot fire, or be used up, inside it.
+
     use super::*;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -978,6 +982,7 @@ mod tests {
 
     #[test]
     fn mapped_decode_serves_matrices_zero_copy() {
+        let _guard = mfod_faultline::serial_guard();
         #[derive(Debug)]
         struct Weights {
             m: mfod_linalg::Matrix,
@@ -1064,6 +1069,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip_is_atomic_and_typed_on_io_error() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("blob.mfod");
@@ -1089,6 +1095,7 @@ mod tests {
 
     #[test]
     fn concurrent_savers_to_one_path_never_clobber_each_other() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = std::env::temp_dir().join(format!("mfod-persist-race-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("contended.mfod");

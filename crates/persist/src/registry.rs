@@ -659,6 +659,10 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that writes through a persist fault hook (save, promote,
+    //! log append) holds `serial_guard`, so a rule armed by a fault test
+    //! in this binary cannot fire, or be used up, inside it.
+
     use super::*;
     use crate::format::{save, to_bytes};
     use crate::wire::{Decode, Decoder, Encode, Encoder};
@@ -766,6 +770,7 @@ mod tests {
 
     #[test]
     fn load_dir_prefers_newest_valid_and_reports_rejects() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("dir");
         save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
         save(&WeightsSnapshot { w: vec![2.0] }, &dir.join("gen-002.mfod")).unwrap();
@@ -791,6 +796,7 @@ mod tests {
 
     #[test]
     fn load_dir_skips_unchanged_active_bytes() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("unchanged");
         save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
@@ -825,6 +831,7 @@ mod tests {
 
     #[test]
     fn steady_state_polls_take_the_stat_fast_path() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("statfast");
         let path = dir.join("gen-001.mfod");
         save(&WeightsSnapshot { w: vec![1.0, 2.0] }, &path).unwrap();
@@ -873,6 +880,7 @@ mod tests {
     /// back to the content hash and catches the new bytes.
     #[test]
     fn same_tick_equal_length_rewrite_is_caught_by_hash_fallback() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("sametick");
         let path = dir.join("gen-001.mfod");
         save(&WeightsSnapshot { w: vec![1.0, 2.0] }, &path).unwrap();
@@ -931,6 +939,7 @@ mod tests {
 
     #[test]
     fn watcher_backs_off_on_failures_and_heals_on_recovery() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("heal");
         let gone = dir.join("not-yet-there");
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
@@ -986,6 +995,7 @@ mod tests {
 
     #[test]
     fn watcher_surfaces_per_path_rejection_reasons() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("rejections");
         save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
         // a corrupt upload lands next to the good generation
@@ -1033,6 +1043,7 @@ mod tests {
 
     #[test]
     fn install_mapped_swaps_from_a_mapped_file() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("mapped");
         let path = dir.join("gen-001.mfod");
         save(&WeightsSnapshot { w: vec![7.0, 8.0] }, &path).unwrap();
@@ -1062,6 +1073,7 @@ mod tests {
 
     #[test]
     fn load_dir_with_no_valid_files_installs_nothing() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("empty");
         std::fs::write(dir.join("junk.mfod"), b"garbage").unwrap();
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
@@ -1076,6 +1088,7 @@ mod tests {
 
     #[test]
     fn watcher_hot_swaps_new_snapshots_and_stops_cleanly() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("watch");
         save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());

@@ -806,6 +806,10 @@ pub fn fsck_dir(dir: &Path) -> Result<FsckReport> {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that writes through a persist fault hook (save, promote,
+    //! log append) holds `serial_guard`, so a rule armed by a fault test
+    //! in this binary cannot fire, or be used up, inside it.
+
     use super::*;
     use crate::wire::{Decode, Decoder, Encode, Encoder};
     use mfod_faultline::{points, FaultPlan, FaultRule};
@@ -861,6 +865,7 @@ mod tests {
 
     #[test]
     fn promoting_invalid_bytes_is_rejected_before_any_disk_mutation() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("promote-garbage");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         // not a container at all
@@ -887,6 +892,7 @@ mod tests {
 
     #[test]
     fn promote_open_promote_assigns_monotone_generations() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("promote");
         let (mut store, report) = ModelStore::open(&dir).unwrap();
         assert_eq!(report.active, None);
@@ -952,6 +958,7 @@ mod tests {
 
     #[test]
     fn orphans_and_torn_log_tails_are_preserved_in_quarantine() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("orphan");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "ok").unwrap();
@@ -987,6 +994,7 @@ mod tests {
 
     #[test]
     fn damaged_active_generation_falls_back_to_previous_committed() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("fallback");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "good").unwrap();
@@ -1014,6 +1022,7 @@ mod tests {
 
     #[test]
     fn rollback_re_points_without_touching_snapshots_and_survives_reopen() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("rollback");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "v1").unwrap();
@@ -1072,6 +1081,7 @@ mod tests {
 
     #[test]
     fn fsck_reports_every_mismatch_with_typed_issues_and_never_panics() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("fsck");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "a").unwrap();
@@ -1118,6 +1128,7 @@ mod tests {
 
     #[test]
     fn fsck_flags_checkpoint_divergence_and_missing_active() {
+        let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("fsck-manifest");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         store.promote(&weights(1), 1, "a").unwrap();
@@ -1147,6 +1158,7 @@ mod tests {
 
     #[test]
     fn install_active_threads_the_store_into_the_registry() {
+        let _guard = mfod_faultline::serial_guard();
         struct Live(Weights);
         impl Restorable for Live {
             type Snapshot = Weights;

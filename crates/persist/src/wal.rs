@@ -217,6 +217,10 @@ pub fn replay(path: &Path) -> Result<Replay> {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that writes through a persist fault hook (save, promote,
+    //! log append) holds `serial_guard`, so a rule armed by a fault test
+    //! in this binary cannot fire, or be used up, inside it.
+
     use super::*;
 
     fn entry(generation: u64) -> ManifestEntry {
@@ -240,6 +244,7 @@ mod tests {
 
     #[test]
     fn append_then_replay_roundtrips_in_order() {
+        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("roundtrip");
         let records = vec![
             LogRecord::Intent(entry(1)),
@@ -266,6 +271,7 @@ mod tests {
 
     #[test]
     fn every_truncation_of_the_tail_frame_is_a_torn_tail() {
+        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("trunc");
         append_record(&path, &LogRecord::Intent(entry(1))).unwrap();
         append_record(&path, &LogRecord::Commit { generation: 1 }).unwrap();
@@ -286,6 +292,7 @@ mod tests {
 
     #[test]
     fn every_byte_flip_in_a_frame_is_caught() {
+        let _guard = mfod_faultline::serial_guard();
         let path = tmplog("flip");
         append_record(&path, &LogRecord::Commit { generation: 3 }).unwrap();
         let full = std::fs::read(&path).unwrap();

@@ -538,6 +538,10 @@ impl MicroBatcher {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that reaches a stream fault hook (flush, push) holds
+    //! `serial_guard`, so a rule armed by a fault test in this binary
+    //! cannot fire, or be used up, inside it.
+
     use super::*;
     use mfod_fixtures::{sine_pipeline, FixtureConfig};
 
@@ -547,6 +551,7 @@ mod tests {
 
     #[test]
     fn flushes_exactly_at_batch_size() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -579,6 +584,7 @@ mod tests {
 
     #[test]
     fn batched_scores_match_offline_scores() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let offline = fitted.score(&windows).unwrap();
         let stats = Arc::new(StreamStats::new());
@@ -605,6 +611,7 @@ mod tests {
 
     #[test]
     fn frozen_mode_scores_through_frozen_operators() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, ts) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -640,6 +647,7 @@ mod tests {
 
     #[test]
     fn max_delay_forces_early_flush() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let mut b = MicroBatcher::new(
             fitted,
@@ -662,6 +670,7 @@ mod tests {
 
     #[test]
     fn failed_flush_keeps_the_batch_and_seq_alignment() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, ts) = tiny_pipeline();
         let mut b = MicroBatcher::new(
             fitted,
@@ -703,6 +712,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, _, _) = tiny_pipeline();
         assert!(MicroBatcher::new(
             Arc::clone(&fitted),
@@ -837,6 +847,7 @@ mod tests {
 
     #[test]
     fn reject_policy_sheds_the_new_window() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(
@@ -870,6 +881,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_policy_keeps_the_freshest_windows() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows, _) = tiny_pipeline();
         let stats = Arc::new(StreamStats::new());
         let mut b = MicroBatcher::new(

@@ -291,6 +291,10 @@ impl OnlineScorer {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that reaches a stream fault hook (flush, push) holds
+    //! `serial_guard`, so a rule armed by a fault test in this binary
+    //! cannot fire, or be used up, inside it.
+
     use super::*;
     use crate::batch::ScoringMode;
     use mfod_fda::RawSample;
@@ -305,6 +309,7 @@ mod tests {
 
     #[test]
     fn end_to_end_push_finish() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let train_scores = fitted.score(&train).unwrap();
         let config = StreamConfig {
@@ -348,6 +353,7 @@ mod tests {
 
     #[test]
     fn construction_rejects_mismatched_stream_geometry() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, _, ts) = setup();
         // window span differs from the training domain
         let stretched: Vec<f64> = ts.iter().map(|t| t * 2.0).collect();
@@ -374,6 +380,7 @@ mod tests {
 
     #[test]
     fn calibrate_from_samples_follows_the_serving_mode() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         // Exact mode: matches an explicit exact-path calibration.
         let mut exact = OnlineScorer::new(
@@ -413,6 +420,7 @@ mod tests {
 
     #[test]
     fn take_pending_drains_without_scoring() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let mut scorer = OnlineScorer::new(
             fitted,
@@ -439,6 +447,7 @@ mod tests {
 
     #[test]
     fn rejected_pushes_do_not_inflate_counters() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let mut scorer = OnlineScorer::new(
             fitted,
@@ -529,6 +538,7 @@ mod tests {
 
     #[test]
     fn uncalibrated_never_alarms() {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, train, ts) = setup();
         let config = StreamConfig {
             window: WindowConfig::tumbling(ts, 2),

@@ -200,6 +200,10 @@ impl WindowBuffer {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that reaches a stream fault hook (flush, push) holds
+    //! `serial_guard`, so a rule armed by a fault test in this binary
+    //! cannot fire, or be used up, inside it.
+
     use super::*;
 
     fn cfg(window_len: usize, stride: usize, channels: usize) -> WindowConfig {
@@ -216,6 +220,7 @@ mod tests {
 
     #[test]
     fn tumbling_reconstructs_stream() {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(4, 4, 2)).unwrap();
         let mut windows = Vec::new();
         for i in 0..12 {
@@ -239,6 +244,7 @@ mod tests {
 
     #[test]
     fn overlapping_windows_share_observations() {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(5, 2, 1)).unwrap();
         let mut starts = Vec::new();
         for i in 0..11 {
@@ -256,6 +262,7 @@ mod tests {
 
     #[test]
     fn gapped_stride_skips_observations() {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(3, 5, 1)).unwrap();
         let mut starts = Vec::new();
         for i in 0..14 {
@@ -269,6 +276,7 @@ mod tests {
 
     #[test]
     fn push_chunk_equals_push_loop() {
+        let _guard = mfod_faultline::serial_guard();
         let chunk: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let mut a = WindowBuffer::new(cfg(6, 3, 1)).unwrap();
         let from_chunk = a.push_chunk(&chunk).unwrap();
@@ -287,6 +295,7 @@ mod tests {
 
     #[test]
     fn push_chunk_rejects_bad_chunks_atomically() {
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(cfg(4, 4, 1)).unwrap();
         // 10 observations, windows complete at 4 and 8 — but observation 9
         // is NaN, so nothing may be ingested at all.
@@ -309,6 +318,7 @@ mod tests {
 
     #[test]
     fn windows_carry_the_configured_ts() {
+        let _guard = mfod_faultline::serial_guard();
         let ts: Vec<f64> = vec![0.0, 0.25, 0.5, 1.0];
         let mut buf = WindowBuffer::new(WindowConfig {
             window_len: 4,
@@ -326,6 +336,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs_and_inputs() {
+        let _guard = mfod_faultline::serial_guard();
         assert!(WindowBuffer::new(cfg(1, 1, 1)).is_err());
         assert!(WindowBuffer::new(cfg(4, 0, 1)).is_err());
         assert!(WindowBuffer::new(cfg(4, 4, 0)).is_err());

@@ -32,6 +32,8 @@ proptest! {
         channels in 1usize..4,
         n_obs in 0usize..200,
     ) {
+        // pushes reach the stream.poison hook the rejection test arms
+        let _guard = mfod_faultline::serial_guard();
         let mut buf = WindowBuffer::new(window_cfg(window_len, stride, channels)).unwrap();
         let mut emitted = Vec::new();
         for i in 0..n_obs {
@@ -73,6 +75,7 @@ proptest! {
         n_windows in 0usize..30,
         flush_every in 1usize..15,
     ) {
+        let _guard = mfod_faultline::serial_guard();
         let (fitted, windows) = shared_fixture();
         let mut b = MicroBatcher::new(
             Arc::clone(fitted),
