@@ -15,14 +15,27 @@
 //! bulk produce no angles at all and receive outlyingness 0 — faithfully
 //! reproduced here.
 //!
-//! Every curve is compared with every other one, so each scoring call first
-//! tabulates, per curve and channel, the values and the `atan` of every
-//! segment's slope; the `O(n² · m)` pair loop then only tests for
-//! crossings and differences two table entries per crossing.
+//! Every curve is compared with every other one, so the ingredients are
+//! tabulated once per curve: per channel, the values and the `atan` of
+//! every segment's slope. [`Funta::score_against`] on two separate
+//! datasets then tests each (query, reference) pair for crossings and
+//! differences two table entries per crossing.
+//!
+//! Which segments two curves cross in depends on the pair only, and the
+//! test is symmetric (`a − b = −(b − a)` exactly). A [`CrossingTable`]
+//! therefore records it once per unordered pair and channel of a dataset,
+//! as a bitmask over the segments. [`Funta::score_indexed`] scores any
+//! reference/query split of that dataset from the table without testing a
+//! pair again — the Fig. 3 protocol draws every split from one pool of
+//! curves — and the joint [`FunctionalOutlierScorer::score`] goes through a
+//! table as well, testing each pair once instead of twice. Both paths visit
+//! the crossings in the same order and feed the same aggregation, so their
+//! scores are bit-for-bit those of `score_against` on the subsets.
 
 use crate::dataset::GriddedDataSet;
 use crate::error::DepthError;
 use crate::{FunctionalOutlierScorer, Result};
+use mfod_linalg::par::{self, Pool};
 
 /// The FUNTA scorer.
 #[derive(Debug, Clone)]
@@ -56,6 +69,29 @@ impl Funta {
         Ok(Funta { trim })
     }
 
+    /// Outlyingness of the `queries` curves of `table`'s dataset against
+    /// its `reference` curves — bit-for-bit
+    /// `score_against(&data.subset(reference)?, &data.subset(queries)?)`,
+    /// for any index lists, overlapping or repeated ones included.
+    pub fn score_indexed(
+        &self,
+        table: &CrossingTable,
+        reference: &[usize],
+        queries: &[usize],
+    ) -> Result<Vec<f64>> {
+        if reference.is_empty() {
+            return Err(DepthError::TooFewSamples { got: 0, need: 1 });
+        }
+        if let Some(i) = reference.iter().chain(queries).find(|&&i| i >= table.n) {
+            return Err(DepthError::InvalidParameter(format!(
+                "index {i} out of range"
+            )));
+        }
+        Ok(self.score_crossings(table, queries.iter().copied(), |_| {
+            reference.iter().copied()
+        }))
+    }
+
     /// Folds one curve's normalized intersection angles in one channel
     /// into its outlyingness, trimming `angles` in place for rFUNTA.
     fn aggregate(&self, angles: &mut [f64]) -> f64 {
@@ -77,15 +113,8 @@ impl Funta {
     }
 
     /// Outlyingness of every `queries` curve against the `references`
-    /// curves, averaged over channels. `skip_self` drops the pair of a
-    /// curve with itself (the joint score, where both tables are the same
-    /// dataset).
-    fn score_tables(
-        &self,
-        queries: &CurveTables,
-        references: &CurveTables,
-        skip_self: bool,
-    ) -> Vec<f64> {
+    /// curves, averaged over channels.
+    fn score_tables(&self, queries: &CurveTables, references: &CurveTables) -> Vec<f64> {
         let p = queries.p;
         let mut angles = Vec::new();
         (0..queries.n)
@@ -96,11 +125,12 @@ impl Funta {
                     angles.clear();
                     let (vi, ai) = queries.curve(i, k);
                     for j in 0..references.n {
-                        if skip_self && j == i {
-                            continue;
-                        }
                         let (vj, aj) = references.curve(j, k);
-                        push_crossing_angles(vi, ai, vj, aj, &mut angles);
+                        for l in 0..ai.len() {
+                            if crosses(vi[l] - vj[l], vi[l + 1] - vj[l + 1]) {
+                                angles.push(angle(ai[l], aj[l]));
+                            }
+                        }
                     }
                     total += self.aggregate(&mut angles);
                 }
@@ -108,6 +138,66 @@ impl Funta {
             })
             .collect()
     }
+
+    /// Outlyingness of every curve of `queries` against the curves
+    /// `references(query)`, in that order, from the crossing table.
+    fn score_crossings<R>(
+        &self,
+        table: &CrossingTable,
+        queries: impl Iterator<Item = usize>,
+        references: impl Fn(usize) -> R,
+    ) -> Vec<f64>
+    where
+        R: Iterator<Item = usize>,
+    {
+        let p = table.p;
+        let mut angles = Vec::new();
+        queries
+            .map(|i| {
+                let mut total = 0.0;
+                for k in 0..p {
+                    angles.clear();
+                    let ai = table.slope_atans(i, k);
+                    for j in references(i) {
+                        let aj = table.slope_atans(j, k);
+                        match table.mask(i, j, k) {
+                            Some(mask) => {
+                                for (w, &word) in mask.iter().enumerate() {
+                                    let mut bits = word;
+                                    while bits != 0 {
+                                        let l = w * 64 + bits.trailing_zeros() as usize;
+                                        angles.push(angle(ai[l], aj[l]));
+                                        bits &= bits - 1;
+                                    }
+                                }
+                            }
+                            // a curve meets itself at every left endpoint
+                            // (d0 == 0), at angle 0
+                            None => angles.extend(ai.iter().map(|&a| angle(a, a))),
+                        }
+                    }
+                    total += self.aggregate(&mut angles);
+                }
+                total / p as f64
+            })
+            .collect()
+    }
+}
+
+/// Whether two curves cross inside a segment, from their differences `d0`
+/// and `d1` at its endpoints: a strict sign change, or an exact touch at
+/// the left endpoint counted once. Negating both differences (swapping
+/// the curves) leaves the answer unchanged. The operators do not
+/// short-circuit, so the crossing table's inner loop builds its mask words
+/// without branches.
+fn crosses(d0: f64, d1: f64) -> bool {
+    ((d0 > 0.0) & (d1 < 0.0)) | ((d0 < 0.0) & (d1 > 0.0)) | (d0 == 0.0)
+}
+
+/// Normalized intersection angle between two segments with the given
+/// `atan(slope)`s, in `[0, 1)`.
+fn angle(a: f64, b: f64) -> f64 {
+    (a - b).abs() / std::f64::consts::PI
 }
 
 /// Per-curve, per-channel tables of a dataset on a fixed grid, built once
@@ -162,21 +252,95 @@ impl CurveTables {
     }
 }
 
-/// Appends to `angles` the normalized intersection angles between two
-/// curves (one channel each), given their values and segment
-/// `atan(slope)`s.
-fn push_crossing_angles(vi: &[f64], ai: &[f64], vj: &[f64], aj: &[f64], angles: &mut Vec<f64>) {
-    for l in 0..ai.len() {
-        let d0 = vi[l] - vj[l];
-        let d1 = vi[l + 1] - vj[l + 1];
-        // Crossing inside segment l (strict sign change), or exact
-        // touch at the left endpoint counted once.
-        let crosses = (d0 > 0.0 && d1 < 0.0) || (d0 < 0.0 && d1 > 0.0) || d0 == 0.0;
-        if crosses {
-            // intersection angle between the two segments, in [0, π)
-            let gamma = (ai[l] - aj[l]).abs();
-            angles.push(gamma / std::f64::consts::PI);
+/// Which segments every pair of curves of one dataset crosses in, per
+/// channel, with each curve's segment `atan(slope)`s: everything
+/// [`Funta::score_indexed`] needs to score any reference/query split of the
+/// dataset. Built once per dataset; for `n` curves, `p` channels and `m`
+/// grid points it holds `n(n − 1)/2 · p · ⌈(m − 1)/64⌉` mask words.
+#[derive(Debug, Clone)]
+pub struct CrossingTable {
+    n: usize,
+    p: usize,
+    /// Segments per curve, `m − 1`.
+    segments: usize,
+    /// Mask words per pair and channel, `⌈(m − 1)/64⌉`.
+    words: usize,
+    /// `atan` of the slope of segment `l` of curve `i`, channel `k` at
+    /// `(i·p + k)·(m − 1) + l`.
+    slope_atans: Vec<f64>,
+    /// `rows[i]` holds the pairs `(i, j)` for `j > i`: channel `k` of pair
+    /// `(i, j)` at `((j − i − 1)·p + k)·words ..`, bit `l` of the mask set
+    /// iff the two curves cross in segment `l`.
+    rows: Vec<Vec<u64>>,
+}
+
+impl CrossingTable {
+    /// Tests every unordered pair of `data`'s curves once, across `pool`.
+    /// Each mask is a pure function of its pair, so the table is identical
+    /// at any pool size.
+    pub fn build(pool: &Pool, data: &GriddedDataSet) -> Self {
+        let curves = CurveTables::build(data, data.grid());
+        let (n, p, segments) = (curves.n, curves.p, curves.m - 1);
+        let words = segments.div_ceil(64);
+        let row = |i: usize| {
+            let mut masks = Vec::with_capacity((n - 1 - i) * p * words);
+            let mut d = vec![0.0; segments + 1];
+            for j in i + 1..n {
+                for k in 0..p {
+                    let ((vi, _), (vj, _)) = (curves.curve(i, k), curves.curve(j, k));
+                    for (dl, (a, b)) in d.iter_mut().zip(vi.iter().zip(vj)) {
+                        *dl = a - b;
+                    }
+                    for w in 0..words {
+                        let mut word = 0u64;
+                        for l in w * 64..segments.min(w * 64 + 64) {
+                            word |= u64::from(crosses(d[l], d[l + 1])) << (l - w * 64);
+                        }
+                        masks.push(word);
+                    }
+                }
+            }
+            masks
+        };
+        // Row i tests n − 1 − i pairs; pairing row k with row n − 1 − k
+        // gives every map item the same cost.
+        let pairs = pool.map(n.div_ceil(2), |k| {
+            let mirror = n - 1 - k;
+            (row(k), (mirror > k).then(|| row(mirror)))
+        });
+        let mut rows = vec![Vec::new(); n];
+        for (k, (first, second)) in pairs.into_iter().enumerate() {
+            rows[k] = first;
+            if let Some(s) = second {
+                rows[n - 1 - k] = s;
+            }
         }
+        CrossingTable {
+            n,
+            p,
+            segments,
+            words,
+            slope_atans: curves.slope_atans,
+            rows,
+        }
+    }
+
+    /// Segment `atan(slope)`s of curve `i`, channel `k`.
+    fn slope_atans(&self, i: usize, k: usize) -> &[f64] {
+        let c = i * self.p + k;
+        &self.slope_atans[c * self.segments..(c + 1) * self.segments]
+    }
+
+    /// Crossing mask of curves `i` and `j` in channel `k`; `None` for a
+    /// curve with itself.
+    fn mask(&self, i: usize, j: usize, k: usize) -> Option<&[u64]> {
+        let (a, b) = match i.cmp(&j) {
+            std::cmp::Ordering::Less => (i, j),
+            std::cmp::Ordering::Greater => (j, i),
+            std::cmp::Ordering::Equal => return None,
+        };
+        let at = ((b - a - 1) * self.p + k) * self.words;
+        Some(&self.rows[a][at..at + self.words])
     }
 }
 
@@ -200,8 +364,9 @@ impl FunctionalOutlierScorer for Funta {
                 need: 2,
             });
         }
-        let tables = CurveTables::build(data, data.grid());
-        Ok(self.score_tables(&tables, &tables, true))
+        let n = data.n();
+        let table = CrossingTable::build(par::global(), data);
+        Ok(self.score_crossings(&table, 0..n, |i| (0..n).filter(move |&j| j != i)))
     }
 
     fn score_against(
@@ -225,7 +390,6 @@ impl FunctionalOutlierScorer for Funta {
         Ok(self.score_tables(
             &CurveTables::build(queries, grid),
             &CurveTables::build(reference, grid),
-            false,
         ))
     }
 }
@@ -464,6 +628,97 @@ mod tests {
                 "against, trim {trim}"
             );
         }
+    }
+
+    /// Reference/query index lists over `n` curves: shuffled disjoint
+    /// splits, overlapping ranges and lists with repeats.
+    fn index_lists(n: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lists = Vec::new();
+        for cut in [1, n / 2, n - 1] {
+            let mut idx: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                idx.swap(i, rng.random_range(0..=i));
+            }
+            lists.push((idx[..cut].to_vec(), idx[cut..].to_vec()));
+        }
+        lists.push(((0..n * 2 / 3).collect(), (n / 3..n).collect()));
+        lists.push(((0..n).collect(), (0..n).rev().collect()));
+        lists.push((vec![3, 3, 7, 0, 3, n - 1], vec![7, 7, 1, 3, n - 1, 0]));
+        let repeats = (0..2 * n).map(|_| rng.random_range(0..n)).collect();
+        lists.push((repeats, (0..n).map(|_| rng.random_range(0..n)).collect()));
+        lists
+    }
+
+    #[test]
+    fn crossing_table_matches_subset_scoring_bit_for_bit() {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        // m − 1 segments spanning one, two (one full) and three mask words
+        for segments in [30usize, 64, 65, 130] {
+            let m = segments + 1;
+            let data = lattice_dataset((0..m).map(|l| (l as f64).powf(1.1)).collect());
+            let table = CrossingTable::build(&Pool::with_threads(3), &data);
+            assert_eq!((table.n, table.words), (14, segments.div_ceil(64)));
+            for trim in [0.0, 0.1, 0.3] {
+                let funta = Funta { trim };
+                let what = format!("{segments} segments, trim {trim}");
+                assert_eq!(
+                    bits(funta.score(&data).unwrap()),
+                    bits(reference_scores(trim, &data, &data, true)),
+                    "joint, {what}"
+                );
+                for (r, q) in index_lists(data.n(), segments as u64) {
+                    let (rd, qd) = (data.subset(&r).unwrap(), data.subset(&q).unwrap());
+                    let indexed = bits(funta.score_indexed(&table, &r, &q).unwrap());
+                    assert_eq!(
+                        indexed,
+                        bits(funta.score_against(&rd, &qd).unwrap()),
+                        "{r:?} / {q:?}, {what}"
+                    );
+                    assert_eq!(
+                        indexed,
+                        bits(reference_scores(trim, &rd, &qd, false)),
+                        "{r:?} / {q:?} vs reference, {what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crossing_table_is_identical_across_pool_sizes() {
+        let data = lattice_dataset((0..131).map(|l| l as f64).collect());
+        let one = CrossingTable::build(&Pool::with_threads(1), &data);
+        let eight = CrossingTable::build(&Pool::with_threads(8), &data);
+        assert_eq!(one.rows, eight.rows);
+        assert!(one.rows.iter().any(|row| row.iter().any(|&w| w != 0)));
+        let bits = |t: &CrossingTable| {
+            t.slope_atans
+                .iter()
+                .map(|a| a.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&one), bits(&eight));
+    }
+
+    #[test]
+    fn indexed_scoring_validates_indices() {
+        let data = lattice_dataset((0..11).map(|l| l as f64).collect());
+        let table = CrossingTable::build(&Pool::with_threads(2), &data);
+        let funta = Funta::new();
+        assert!(matches!(
+            funta.score_indexed(&table, &[], &[0]),
+            Err(DepthError::TooFewSamples { got: 0, need: 1 })
+        ));
+        for (r, q) in [(vec![0, 14], vec![1]), (vec![0], vec![1, 99])] {
+            assert!(matches!(
+                funta.score_indexed(&table, &r, &q),
+                Err(DepthError::InvalidParameter(_))
+            ));
+        }
+        assert!(funta.score_indexed(&table, &[0], &[]).unwrap().is_empty());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod snapshot;
 pub use dataset::GriddedDataSet;
 pub use dirout::{DirOut, DirOutScores};
 pub use error::DepthError;
-pub use funta::Funta;
+pub use funta::{CrossingTable, Funta};
 pub use snapshot::DepthScorerSnapshot;
 
 /// Crate-wide `Result` alias.

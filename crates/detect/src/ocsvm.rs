@@ -18,6 +18,12 @@
 //! stops when the duality gap proxy `max_{I_low} g − min_{I_up} g` falls
 //! under `tol` — the textbook LIBSVM scheme specialized to the one-class
 //! objective (no labels, no linear term).
+//!
+//! A fit is two steps: the Gram matrix `Q`, which depends on the training
+//! set and kernel only, then SMO for one ν on it.
+//! [`OcSvm::fit_each_nu_on`] shares one Gram matrix (and one median-heuristic
+//! bandwidth) between several ν, which is what ν-tuning cross-validation
+//! fits on every fold.
 
 use crate::error::DetectError;
 use crate::features::validate_features;
@@ -25,6 +31,7 @@ use crate::kernel::Kernel;
 use crate::{Detector, FittedDetector, Result};
 use mfod_linalg::par::{self, Pool};
 use mfod_linalg::{vector, Matrix};
+use std::cell::OnceCell;
 
 /// Training sizes below this run the SMO scans sequentially: per-iteration
 /// pool dispatch only pays off once the O(n) pair search and gradient
@@ -82,11 +89,7 @@ impl Default for OcSvm {
 impl OcSvm {
     /// OCSVM with the given ν and default (median-heuristic RBF) kernel.
     pub fn with_nu(nu: f64) -> Result<Self> {
-        if !(0.0 < nu && nu <= 1.0) {
-            return Err(DetectError::InvalidParameter(format!(
-                "nu must be in (0, 1], got {nu}"
-            )));
-        }
+        check_nu(nu)?;
         Ok(OcSvm {
             nu,
             ..Default::default()
@@ -114,6 +117,17 @@ impl OcSvm {
             )));
         }
         Ok(Kernel::Rbf { gamma })
+    }
+}
+
+/// ν must lie in `(0, 1]`.
+fn check_nu(nu: f64) -> Result<()> {
+    if 0.0 < nu && nu <= 1.0 {
+        Ok(())
+    } else {
+        Err(DetectError::InvalidParameter(format!(
+            "nu must be in (0, 1], got {nu}"
+        )))
     }
 }
 
@@ -290,6 +304,21 @@ impl OcSvm {
         self.fit_concrete_with(pool, train, SMO_PAR_MIN)
     }
 
+    /// Fits one model per ν in `nus` (the rest of the configuration taken
+    /// from `self`) on one shared kernel and Gram matrix: the bandwidth
+    /// and the `O(n²)` kernel evaluations depend on the training set
+    /// only, so they are computed once instead of once per ν. Element `k`
+    /// is bit-for-bit what `OcSvm { nu: nus[k], ..self }.fit_concrete_on`
+    /// returns, errors included.
+    pub fn fit_each_nu_on(
+        &self,
+        pool: &Pool,
+        train: &Matrix,
+        nus: &[f64],
+    ) -> Vec<Result<FittedOcSvm>> {
+        self.fit_each_nu_with(pool, train, nus, SMO_PAR_MIN)
+    }
+
     /// Implementation with an explicit parallelism threshold so tests can
     /// pin both the chunked (`par_min = 0`) and the sequential
     /// (`par_min = usize::MAX`) inner loops onto the same problem and
@@ -300,50 +329,55 @@ impl OcSvm {
         train: &Matrix,
         par_min: usize,
     ) -> Result<FittedOcSvm> {
-        validate_features(train, 2)?;
-        if !(0.0 < self.nu && self.nu <= 1.0) {
-            return Err(DetectError::InvalidParameter(format!(
-                "nu must be in (0, 1], got {}",
-                self.nu
-            )));
-        }
+        let mut fits = self.fit_each_nu_with(pool, train, &[self.nu], par_min);
+        fits.pop().expect("one fit per ν")
+    }
+
+    /// [`OcSvm::fit_each_nu_on`] with an explicit parallelism threshold.
+    /// The checks run in the order of a single fit — features, then ν,
+    /// then the kernel — and the kernel and Gram matrix are built on the
+    /// first valid ν.
+    fn fit_each_nu_with(
+        &self,
+        pool: &Pool,
+        train: &Matrix,
+        nus: &[f64],
+        par_min: usize,
+    ) -> Vec<Result<FittedOcSvm>> {
+        let features = validate_features(train, 2);
+        let gram = OnceCell::new();
+        nus.iter()
+            .map(|&nu| {
+                features.clone()?;
+                check_nu(nu)?;
+                let (kernel, q) = gram
+                    .get_or_init(|| {
+                        let kernel = self.resolve_kernel(train)?;
+                        Ok((kernel, gram_matrix(pool, kernel, train)))
+                    })
+                    .as_ref()
+                    .map_err(DetectError::clone)?;
+                self.solve(pool, nu, train, *kernel, q, par_min)
+            })
+            .collect()
+    }
+
+    /// SMO for one ν on the training set's Gram matrix `q`.
+    fn solve(
+        &self,
+        pool: &Pool,
+        nu: f64,
+        train: &Matrix,
+        kernel: Kernel,
+        q: &Matrix,
+        par_min: usize,
+    ) -> Result<FittedOcSvm> {
         let n = train.nrows();
-        let kernel = self.resolve_kernel(train)?;
-        let c = 1.0 / (self.nu * n as f64);
-        // Gram matrix: upper-triangular row stripes, mirrored afterwards.
-        // Stripe i costs n − i kernel evaluations, so contiguous chunks of
-        // stripes would be badly imbalanced; pairing stripe k with stripe
-        // n−1−k makes every map item cost n + 1 evaluations. Each entry
-        // is still the same single kernel evaluation the sequential
-        // assembly performed.
-        let stripe = |i: usize| {
-            let row_i = train.row(i);
-            (i..n)
-                .map(|j| kernel.eval(row_i, train.row(j)))
-                .collect::<Vec<f64>>()
-        };
-        let pairs = pool.map(n.div_ceil(2), |k| {
-            let mirror = n - 1 - k;
-            (stripe(k), (mirror > k).then(|| stripe(mirror)))
-        });
-        let mut q = Matrix::zeros(n, n);
-        let mut fill = |i: usize, s: Vec<f64>| {
-            for (off, v) in s.into_iter().enumerate() {
-                let j = i + off;
-                q[(i, j)] = v;
-                q[(j, i)] = v;
-            }
-        };
-        for (k, (first, second)) in pairs.into_iter().enumerate() {
-            fill(k, first);
-            if let Some(s) = second {
-                fill(n - 1 - k, s);
-            }
-        }
+        let c = 1.0 / (nu * n as f64);
         // Feasible start: fill ⌊1/C⌋ entries at the box bound, remainder on
         // the next one, so Σα = 1 and 0 <= α <= C.
         let mut alpha = vec![0.0; n];
-        let full = (self.nu * n as f64).floor() as usize;
+        let full = (nu * n as f64).floor() as usize;
         for a in alpha.iter_mut().take(full.min(n)) {
             *a = c;
         }
@@ -458,6 +492,41 @@ impl OcSvm {
             sv_fraction: sv_idx.len() as f64 / n as f64,
         })
     }
+}
+
+/// Gram matrix `Q_ij = K(x_i, x_j)` of the training rows, assembled as
+/// upper-triangular row stripes across `pool` and mirrored. Stripe i costs
+/// n − i kernel evaluations, so contiguous chunks of stripes would be badly
+/// imbalanced; pairing stripe k with stripe n−1−k makes every map item cost
+/// n + 1 evaluations. Each entry is the same single kernel evaluation at
+/// any pool size.
+fn gram_matrix(pool: &Pool, kernel: Kernel, train: &Matrix) -> Matrix {
+    let n = train.nrows();
+    let stripe = |i: usize| {
+        let row_i = train.row(i);
+        (i..n)
+            .map(|j| kernel.eval(row_i, train.row(j)))
+            .collect::<Vec<f64>>()
+    };
+    let pairs = pool.map(n.div_ceil(2), |k| {
+        let mirror = n - 1 - k;
+        (stripe(k), (mirror > k).then(|| stripe(mirror)))
+    });
+    let mut q = Matrix::zeros(n, n);
+    let mut fill = |i: usize, s: Vec<f64>| {
+        for (off, v) in s.into_iter().enumerate() {
+            let j = i + off;
+            q[(i, j)] = v;
+            q[(j, i)] = v;
+        }
+    };
+    for (k, (first, second)) in pairs.into_iter().enumerate() {
+        fill(k, first);
+        if let Some(s) = second {
+            fill(n - 1 - k, s);
+        }
+    }
+    q
 }
 
 impl Detector for OcSvm {
@@ -706,6 +775,61 @@ mod tests {
         for (a, b) in s1.iter().zip(&s2) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn shared_gram_fits_match_independent_fits_bit_for_bit() {
+        let x = ring_with_outlier();
+        // invalid ν (0, 1.5, NaN) interleaved with valid ones, and a
+        // repeated ν
+        let nus = [0.0, 0.02, 0.1, 1.5, 0.1, 0.3, f64::NAN, 1.0];
+        let pool = Pool::with_threads(3);
+        for template in [
+            OcSvm::default(),
+            OcSvm {
+                kernel: Some(Kernel::Linear),
+                tol: 1e-8,
+                ..Default::default()
+            },
+            OcSvm {
+                gamma: GammaSpec::Scale,
+                ..Default::default()
+            },
+        ] {
+            for par_min in [0, usize::MAX] {
+                let shared = template.fit_each_nu_with(&pool, &x, &nus, par_min);
+                assert_eq!(shared.len(), nus.len());
+                for (&nu, fit) in nus.iter().zip(&shared) {
+                    let cfg = OcSvm {
+                        nu,
+                        ..template.clone()
+                    };
+                    let alone = cfg.fit_concrete_with(&pool, &x, par_min);
+                    match (fit, &alone) {
+                        (Ok(a), Ok(b)) => assert_fits_bit_equal(a, b, &format!("ν {nu}")),
+                        (Err(a), Err(b)) => assert_eq!(a, b, "ν {nu}"),
+                        _ => panic!("ν {nu}: shared {fit:?} vs alone {alone:?}"),
+                    }
+                }
+                assert!(shared[0].is_err() && shared[3].is_err() && shared[6].is_err());
+                assert_eq!(shared.iter().filter(|f| f.is_ok()).count(), 5);
+            }
+        }
+        // ν-independent failures reach every ν, in a single fit's order
+        let bad_kernel = OcSvm {
+            kernel: Some(Kernel::Rbf { gamma: -1.0 }),
+            ..Default::default()
+        };
+        let fits = bad_kernel.fit_each_nu_on(&pool, &x, &[0.1, 2.0]);
+        assert!(
+            matches!(fits[0], Err(DetectError::InvalidParameter(ref m)) if m.contains("kernel"))
+        );
+        assert!(matches!(fits[1], Err(DetectError::InvalidParameter(ref m)) if m.contains("nu")));
+        let one_row = Matrix::filled(1, 2, 0.0);
+        for fit in OcSvm::default().fit_each_nu_on(&pool, &one_row, &[0.1, 2.0]) {
+            assert!(matches!(fit, Err(DetectError::TooFewSamples { .. })));
+        }
+        assert!(OcSvm::default().fit_each_nu_on(&pool, &x, &[]).is_empty());
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //! Smoothing and mapping do not depend on the split, so the feature matrix
 //! and the baselines' gridded dataset are computed once and the split loop
 //! only refits detectors — a few orders of magnitude faster than
-//! re-smoothing per repetition, with identical results.
+//! re-smoothing per repetition, with identical results. Neither do FUNTA's
+//! crossings: every split draws its curves from the same pool, so one
+//! [`CrossingTable`] of the pool, built next to the gridded dataset, serves
+//! every split's FUNTA scores, bit-for-bit equal to scoring the split's
+//! subsets.
 //!
 //! All `levels × repetitions` splits then run as one map on the worker
 //! pool of [`mfod_linalg::par`]. Each split is a pure function of its
@@ -34,7 +38,7 @@ use crate::pipeline::{GeomOutlierPipeline, PipelineConfig};
 use crate::tune::NuTuner;
 use crate::Result;
 use mfod_datasets::{EcgConfig, EcgSimulator, LabeledDataSet, SplitConfig};
-use mfod_depth::{DirOut, FunctionalOutlierScorer, Funta};
+use mfod_depth::{CrossingTable, DirOut, Funta};
 use mfod_detect::features::Standardizer;
 use mfod_detect::{Detector, IsolationForest, OcSvm};
 use mfod_eval::{run_repeated, RepeatedSummary};
@@ -177,6 +181,7 @@ fn run_fig3_with(
     );
     let features = curv_pipeline.features(data.samples())?;
     let gridded = DepthBaseline::gridded(data)?;
+    let crossings = CrossingTable::build(pool, &gridded);
     let funta = Funta::new();
     let dirout = DirOut::new();
     let all_cols: Vec<usize> = (0..features.ncols()).collect();
@@ -230,7 +235,7 @@ fn run_fig3_with(
             .subset(&split.test_indices)
             .map_err(MfodError::from)?;
         let funta_scores = funta
-            .score_against(&train_g, &test_g)
+            .score_indexed(&crossings, &split.train_indices, &split.test_indices)
             .map_err(MfodError::from)?;
         let funta_auc = mfod_eval::auc(&funta_scores, &test_labels).map_err(MfodError::from)?;
         let dirout_scores = dirout

@@ -9,11 +9,19 @@
 //! minimizing `|held-out flagged fraction − ν|`. As the true contamination
 //! `c` grows past the candidate grid, no ν fits well and OCSVM degrades —
 //! the effect visible in the paper's Fig. 3 discussion.
+//!
+//! The CV runs fold-major. Each fold's training matrix is the same for
+//! every candidate, so the folds run across the worker pool and each one
+//! computes its kernel bandwidth and Gram matrix once, then solves every
+//! candidate ν on it ([`OcSvm::fit_each_nu_on`]). The per-fold flagged
+//! counts are then summed candidate by candidate in fold order: integer
+//! sums, so the profile is the candidate-by-candidate loop's bit for bit,
+//! and the first failing (ν, fold) in that order is the error reported.
 
 use crate::error::MfodError;
 use crate::Result;
 use mfod_detect::{FittedDetector, OcSvm};
-use mfod_eval::{cv::par_eval_folds, KFold};
+use mfod_eval::KFold;
 use mfod_linalg::{par, Matrix};
 
 /// ν tuner configuration.
@@ -62,24 +70,20 @@ impl NuTuner {
                 )));
             }
         }
-        let n = train.nrows();
         let kf = KFold::new(self.folds, self.seed)?;
-        let folds = kf.folds(n)?;
+        let folds = kf.folds(train.nrows())?;
         let cols: Vec<usize> = (0..train.ncols()).collect();
-        let mut profile = Vec::with_capacity(self.candidates.len());
-        for &nu in &self.candidates {
-            // Folds are fitted and scored independently, so each candidate
-            // evaluates its folds across the worker pool; the flagged
-            // counts are summed in fold order (integer sums, so the
-            // objective is identical to the sequential loop's).
-            let fold_counts: Vec<(usize, usize)> =
-                par_eval_folds(par::global(), &folds, |_, tr, va| {
-                    let tr_m = train.submatrix(tr, &cols);
-                    let cfg = OcSvm {
-                        nu,
-                        ..template.clone()
-                    };
-                    let model = cfg.fit_concrete(&tr_m)?;
+        // Fold-major: folds are fitted and scored independently across the
+        // worker pool, and each fold fits every candidate on one shared
+        // Gram matrix, yielding its flagged count per candidate.
+        let per_fold = par::global().map(folds.len(), |f| {
+            let (tr, va) = &folds[f];
+            let tr_m = train.submatrix(tr, &cols);
+            template
+                .fit_each_nu_on(par::global(), &tr_m, &self.candidates)
+                .into_iter()
+                .map(|model| {
+                    let model = model?;
                     let mut flagged = 0usize;
                     for &i in va {
                         // score > 0 ⟺ decision f(x) < 0 ⟺ flagged as outlier
@@ -87,14 +91,11 @@ impl NuTuner {
                             flagged += 1;
                         }
                     }
-                    Ok::<_, MfodError>((flagged, va.len()))
-                })?;
-            let (flagged, total) = fold_counts
-                .iter()
-                .fold((0usize, 0usize), |(f, t), &(cf, ct)| (f + cf, t + ct));
-            let fraction = flagged as f64 / total.max(1) as f64;
-            profile.push((nu, (fraction - nu).abs()));
-        }
+                    Ok(flagged)
+                })
+                .collect::<Vec<Result<usize>>>()
+        });
+        let profile = candidate_major_profile(&self.candidates, train.nrows(), per_fold)?;
         let (nu, objective) = profile
             .iter()
             .copied()
@@ -121,6 +122,32 @@ impl NuTuner {
         let model = cfg.fit_concrete(train)?;
         Ok((selection, Box::new(model)))
     }
+}
+
+/// Folds the per-fold flagged counts (`per_fold[f][c]` for fold `f` and
+/// candidate `c`) into the `(ν, |flagged fraction − ν|)` profile, over the
+/// `held_out` points that the validation folds partition. The counts are
+/// visited candidate by candidate and, within a candidate, in fold order:
+/// integer sums, so each objective is the one a candidate-by-candidate
+/// loop computes, and the first failure in that order is the error
+/// reported.
+fn candidate_major_profile(
+    candidates: &[f64],
+    held_out: usize,
+    per_fold: Vec<Vec<Result<usize>>>,
+) -> Result<Vec<(f64, f64)>> {
+    let mut per_fold: Vec<_> = per_fold.into_iter().map(Vec::into_iter).collect();
+    candidates
+        .iter()
+        .map(|&nu| {
+            let mut flagged = 0usize;
+            for fold in &mut per_fold {
+                flagged += fold.next().expect("one count per candidate")?;
+            }
+            let fraction = flagged as f64 / held_out.max(1) as f64;
+            Ok((nu, (fraction - nu).abs()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -209,6 +236,129 @@ mod tests {
         let b = t.tune(&OcSvm::default(), &x).unwrap();
         assert_eq!(a.nu, b.nu);
         assert_eq!(a.profile, b.profile);
+    }
+
+    /// The candidate-major tuner: one `fit_concrete` per (ν, fold), each
+    /// recomputing the fold's bandwidth and Gram matrix, the first failing
+    /// fold of the first failing candidate reported.
+    fn candidate_major_tune(t: &NuTuner, template: &OcSvm, train: &Matrix) -> Result<NuSelection> {
+        let folds = KFold::new(t.folds, t.seed)?.folds(train.nrows())?;
+        let cols: Vec<usize> = (0..train.ncols()).collect();
+        let mut profile = Vec::new();
+        for &nu in &t.candidates {
+            let (mut flagged, mut total) = (0usize, 0usize);
+            for (tr, va) in &folds {
+                let cfg = OcSvm {
+                    nu,
+                    ..template.clone()
+                };
+                let model = cfg.fit_concrete(&train.submatrix(tr, &cols))?;
+                for &i in va {
+                    if model.score_one(train.row(i))? > 0.0 {
+                        flagged += 1;
+                    }
+                }
+                total += va.len();
+            }
+            let fraction = flagged as f64 / total.max(1) as f64;
+            profile.push((nu, (fraction - nu).abs()));
+        }
+        let (nu, objective) = profile
+            .iter()
+            .copied()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
+        Ok(NuSelection {
+            nu,
+            objective,
+            profile,
+        })
+    }
+
+    fn assert_selections_bit_equal(a: &NuSelection, b: &NuSelection, what: &str) {
+        let bits = |s: &NuSelection| {
+            let mut v = vec![s.nu.to_bits(), s.objective.to_bits()];
+            v.extend(
+                s.profile
+                    .iter()
+                    .flat_map(|p| [p.0.to_bits(), p.1.to_bits()]),
+            );
+            v
+        };
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
+    #[test]
+    fn fold_major_tuning_matches_candidate_major_reference() {
+        let cases = [
+            (
+                contaminated(100, 0.10, 8.0),
+                NuTuner::default(),
+                OcSvm::default(),
+            ),
+            (
+                contaminated(61, 0.2, 4.0),
+                NuTuner {
+                    candidates: vec![0.3, 0.05, 0.2, 0.05, 1.0],
+                    folds: 4,
+                    seed: 9,
+                },
+                OcSvm {
+                    gamma: mfod_detect::GammaSpec::Scale,
+                    ..Default::default()
+                },
+            ),
+            (
+                contaminated(40, 0.1, 5.0),
+                NuTuner {
+                    folds: 3,
+                    ..Default::default()
+                },
+                OcSvm {
+                    kernel: Some(mfod_detect::Kernel::Linear),
+                    ..Default::default()
+                },
+            ),
+        ];
+        for (case, (x, tuner, template)) in cases.iter().enumerate() {
+            let fast = tuner.tune(template, x).unwrap();
+            let reference = candidate_major_tune(tuner, template, x).unwrap();
+            assert_selections_bit_equal(&fast, &reference, &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn first_failure_in_candidate_major_order_is_reported() {
+        // Synthetic counts for candidates 0, 1, 2 with failures at
+        // (candidate 2, fold 0), (1, 1) and (1, 2). Candidate-major order
+        // reaches (1, 1) first; fold-major order would reach (2, 0).
+        let fail = |what: &str| Err(MfodError::Pipeline(what.into()));
+        let per_fold = vec![
+            vec![Ok(1), Ok(0), fail("candidate 2, fold 0")],
+            vec![Ok(2), fail("candidate 1, fold 1"), Ok(0)],
+            vec![Ok(0), fail("candidate 1, fold 2"), Ok(3)],
+        ];
+        let err = candidate_major_profile(&[0.1, 0.2, 0.3], 30, per_fold).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            fail("candidate 1, fold 1").unwrap_err().to_string()
+        );
+        // without failures the counts sum per candidate over the folds
+        let per_fold = vec![vec![Ok(1), Ok(6)], vec![Ok(2), Ok(0)]];
+        let profile = candidate_major_profile(&[0.1, 0.2], 30, per_fold).unwrap();
+        assert_eq!(profile, vec![(0.1, 0.0), (0.2, 0.0)]);
+
+        // Real failures: a one-iteration SMO budget fails the fits, and
+        // the error is the reference loop's.
+        let x = contaminated(60, 0.15, 6.0);
+        let template = OcSvm {
+            max_iter: 1,
+            ..Default::default()
+        };
+        let tuner = NuTuner::default();
+        let fast = tuner.tune(&template, &x).unwrap_err();
+        let reference = candidate_major_tune(&tuner, &template, &x).unwrap_err();
+        assert_eq!(fast.to_string(), reference.to_string());
     }
 
     #[test]

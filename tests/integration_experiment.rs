@@ -115,6 +115,34 @@ fn geometric_methods_competitive_at_moderate_scale() {
 }
 
 #[test]
+fn measured_fig3_ordering_holds_at_every_level() {
+    // The benchmark's golden configuration: Fig3Config::default() (data
+    // seed 2020, split seed 38) at 2 repetitions per level. Its measured
+    // means: Dir.out ≈ 0.97–0.98 > iFor(Curvmap) ≈ OCSVM(Curvmap) ≈ 0.95
+    // ≫ FUNTA ≈ 0.65–0.70.
+    let cfg = Fig3Config {
+        repetitions: 2,
+        ..Fig3Config::default()
+    };
+    assert_eq!((cfg.data_seed, cfg.split_seed), (2020, 38));
+    let rows = run_fig3(&cfg).unwrap();
+    assert_eq!(rows.len(), 5);
+    for row in &rows {
+        let mean = |m: &str| row.summary.get(m).unwrap().mean;
+        let c = row.contamination;
+        let (dirout, ifor) = (mean("Dir.out"), mean("iFor(Curvmap)"));
+        let (ocsvm, funta) = (mean("OCSVM(Curvmap)"), mean("FUNTA"));
+        assert!(dirout > ifor, "c = {c}: Dir.out {dirout} vs iFor {ifor}");
+        assert!(dirout > ocsvm, "c = {c}: Dir.out {dirout} vs OCSVM {ocsvm}");
+        assert!(ifor - funta > 0.2, "c = {c}: iFor {ifor} vs FUNTA {funta}");
+        assert!(
+            ocsvm - funta > 0.2,
+            "c = {c}: OCSVM {ocsvm} vs FUNTA {funta}"
+        );
+    }
+}
+
+#[test]
 fn invalid_configs_rejected() {
     let mut cfg = Fig3Config::smoke();
     cfg.contamination_levels = vec![1.5];
