@@ -2,7 +2,7 @@
 //!
 //! `mfod-faultline` is a std-only leaf crate (like `mfod-obs`) that lets
 //! tests and chaos harnesses inject failures at named points inside the
-//! serving stack — snapshot I/O, registry sweeps, micro-batch flushes,
+//! serving stack — snapshot I/O, registry store syncs, micro-batch flushes,
 //! pool chunks — on a schedule that is a pure function of a seed.
 //!
 //! # Contract
@@ -64,8 +64,8 @@ pub mod points {
     /// CRC corruption: the computed checksum is inverted during parse,
     /// so an otherwise valid snapshot reports `ChecksumMismatch`.
     pub const PERSIST_CRC: &str = "persist.crc";
-    /// Registry directory sweep fails with an injected I/O error before
-    /// reading any entries.
+    /// Registry store sync (`ModelRegistry::sync_store`) fails with an
+    /// injected I/O error before reading the deploy log.
     pub const REGISTRY_SWEEP: &str = "registry.sweep";
     /// Micro-batch flush fails with a typed pipeline error before
     /// scoring runs; the batch stays pending.

@@ -175,19 +175,13 @@ impl FittedDepthBaseline {
 
     /// Loads a baseline saved with [`FittedDepthBaseline::save`],
     /// re-running all restore validation. The result scores bit-identically
-    /// to the baseline that was saved.
+    /// to the baseline that was saved. The file is memory-mapped
+    /// ([`mfod_persist::load`]), so the training-reference sample matrices
+    /// are served zero-copy out of the mapping where alignment allows; the
+    /// restored baseline owns the keep-alive handles, so the mapping lives
+    /// exactly as long as its views.
     pub fn load(path: &Path) -> Result<FittedDepthBaseline> {
         mfod_persist::load::<DepthBaselineSnapshot>(path)?.restore()
-    }
-
-    /// Loads a baseline by memory-mapping the snapshot file: identical
-    /// validation and bit-identical scores to
-    /// [`FittedDepthBaseline::load`], with the training-reference sample
-    /// matrices served zero-copy out of the mapping where alignment
-    /// allows. The restored baseline owns the keep-alive handles, so the
-    /// mapping lives exactly as long as its views.
-    pub fn load_mapped(path: &Path) -> Result<FittedDepthBaseline> {
-        mfod_persist::load_mapped::<DepthBaselineSnapshot>(path)?.restore()
     }
 }
 

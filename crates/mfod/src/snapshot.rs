@@ -242,19 +242,13 @@ impl FittedPipeline {
 
     /// Loads a pipeline saved with [`FittedPipeline::save`], re-running
     /// all restore validation. The result scores bit-identically to the
-    /// pipeline that was saved.
+    /// pipeline that was saved. The file is memory-mapped
+    /// ([`mfod_persist::load`]): large matrix payloads (detector weights,
+    /// smoothing systems) are served zero-copy out of the mapping, and
+    /// the restored pipeline owns the keep-alive handles, so the mapping
+    /// lives exactly as long as the pipeline's views into it.
     pub fn load(path: &Path) -> Result<FittedPipeline> {
         mfod_persist::load::<PipelineSnapshot>(path)?.restore()
-    }
-
-    /// Loads a pipeline by memory-mapping the snapshot file: identical
-    /// validation and bit-identical scores to [`FittedPipeline::load`],
-    /// with large matrix payloads (detector weights, smoothing systems)
-    /// served zero-copy out of the mapping instead of copied at install.
-    /// The restored pipeline owns the keep-alive handles, so the mapping
-    /// lives exactly as long as the pipeline's views into it.
-    pub fn load_mapped(path: &Path) -> Result<FittedPipeline> {
-        mfod_persist::load_mapped::<PipelineSnapshot>(path)?.restore()
     }
 }
 
@@ -326,16 +320,10 @@ impl FrozenScorer {
         Ok(mfod_persist::save(&self.snapshot()?, path)?)
     }
 
-    /// Loads a scorer saved with [`FrozenScorer::save`].
+    /// Loads a scorer saved with [`FrozenScorer::save`] through the
+    /// mapped zero-copy path; see [`FittedPipeline::load`].
     pub fn load(path: &Path) -> Result<FrozenScorer> {
         mfod_persist::load::<FrozenScorerSnapshot>(path)?.restore()
-    }
-
-    /// Loads a scorer by memory-mapping the snapshot file — the
-    /// zero-copy twin of [`FrozenScorer::load`]; see
-    /// [`FittedPipeline::load_mapped`].
-    pub fn load_mapped(path: &Path) -> Result<FrozenScorer> {
-        mfod_persist::load_mapped::<FrozenScorerSnapshot>(path)?.restore()
     }
 }
 
@@ -420,16 +408,10 @@ impl FittedMappingEnsemble {
 
     /// Loads an ensemble saved with [`FittedMappingEnsemble::save`],
     /// re-running all member restore validation. The result scores
-    /// bit-identically to the ensemble that was saved.
+    /// bit-identically to the ensemble that was saved; the file is
+    /// mapped as in [`FittedPipeline::load`].
     pub fn load(path: &Path) -> Result<FittedMappingEnsemble> {
         mfod_persist::load::<EnsembleSnapshot>(path)?.restore()
-    }
-
-    /// Loads an ensemble by memory-mapping the snapshot file — the
-    /// zero-copy twin of [`FittedMappingEnsemble::load`]; see
-    /// [`FittedPipeline::load_mapped`].
-    pub fn load_mapped(path: &Path) -> Result<FittedMappingEnsemble> {
-        mfod_persist::load_mapped::<EnsembleSnapshot>(path)?.restore()
     }
 }
 
@@ -520,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn save_load_file_helpers() {
+    fn save_and_load_helpers_roundtrip() {
         let dir = std::env::temp_dir().join(format!("mfod-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = ecg(10, 3, 3);
@@ -567,8 +549,11 @@ mod tests {
         .unwrap();
         let path = dir.join("pipeline.mfod");
         pipeline.save(&path).unwrap();
-        let eager = FittedPipeline::load(&path).unwrap();
-        let mapped = FittedPipeline::load_mapped(&path).unwrap();
+        let eager = mfod_persist::from_bytes::<PipelineSnapshot>(&std::fs::read(&path).unwrap())
+            .unwrap()
+            .restore()
+            .unwrap();
+        let mapped = FittedPipeline::load(&path).unwrap();
         // The restored model keeps the mapping alive on its own: deleting
         // the file (and its directory) must not invalidate borrowed state.
         std::fs::remove_dir_all(&dir).unwrap();
@@ -588,8 +573,12 @@ mod tests {
         let p2 = fs_path.join("pipeline.mfod");
         pipeline.save(&p2).unwrap();
         assert!(matches!(
-            FrozenScorer::load_mapped(&p2),
+            FrozenScorer::load(&p2),
             Err(MfodError::Persist(PersistError::WrongKind { .. }))
+        ));
+        assert!(matches!(
+            mfod_persist::from_bytes::<FrozenScorerSnapshot>(&std::fs::read(&p2).unwrap()),
+            Err(PersistError::WrongKind { .. })
         ));
         std::fs::remove_dir_all(&fs_path).unwrap();
     }

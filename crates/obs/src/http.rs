@@ -322,25 +322,25 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
     counter(
         &mut o,
         "mfod_registry_sweeps_total",
-        "Directory sweeps executed.",
+        "Store syncs executed.",
         s.registry.sweeps,
     );
     counter(
         &mut o,
         "mfod_registry_rejected_total",
-        "Snapshot files rejected across sweeps.",
+        "Active store artifacts rejected across syncs.",
         s.registry.rejected,
     );
     counter(
         &mut o,
         "mfod_registry_unchanged_total",
-        "Files skipped as byte-identical to the active model.",
+        "Syncs that found the active generation already served.",
         s.registry.unchanged,
     );
     histogram(
         &mut o,
         "mfod_registry_sweep_ns",
-        "Directory sweep time (ns).",
+        "Store sync time (ns).",
         "",
         &s.registry.sweep_time,
     );

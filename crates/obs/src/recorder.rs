@@ -70,18 +70,19 @@ pub struct Metrics {
     /// Nanoseconds spent scoring one micro-batch end to end.
     pub stream_batch_score: Histogram,
 
-    // -- ModelRegistry / watch_dir (mfod_persist) ---------------------
+    // -- ModelRegistry / watch_store (mfod_persist) -------------------
     /// Successful model swaps (`install_*`).
     pub registry_swaps: Counter,
     /// Generation of the most recently installed model.
     pub registry_generation: Gauge,
-    /// Directory sweeps executed (`load_dir`).
+    /// Store syncs executed (`sync_store`).
     pub registry_sweeps: Counter,
-    /// Snapshot files rejected across sweeps.
+    /// Active store artifacts rejected across syncs (damaged, unreadable
+    /// or failing restore).
     pub registry_rejected: Counter,
-    /// Files skipped as byte-identical to the active model.
+    /// Syncs that found the store's active generation already served.
     pub registry_unchanged: Counter,
-    /// Nanoseconds per directory sweep.
+    /// Nanoseconds per store sync.
     pub registry_sweep_time: Histogram,
     /// Nanoseconds per model install (`install_bytes`/`install_mapped`:
     /// validate + decode + swap, excluding file discovery).
@@ -109,7 +110,7 @@ pub struct Metrics {
     /// Sessions whose pending windows were quarantined after repeated
     /// flush failures.
     pub quarantined_sessions: Counter,
-    /// Current watcher backoff level (0 when the last sweep succeeded).
+    /// Current watcher backoff level (0 when the last sync succeeded).
     pub registry_backoff: Gauge,
 
     // -- Crash-consistent model store (mfod-persist) ------------------
@@ -130,7 +131,7 @@ pub struct Metrics {
     pub win_stream_windows: WindowedCounter,
     /// Model swaps per rolling window (→ swaps/min).
     pub win_registry_swaps: WindowedCounter,
-    /// Snapshot files rejected by directory sweeps per rolling window
+    /// Active store artifacts rejected by syncs per rolling window
     /// (→ rejections/min) — the feed behind quarantine decisions.
     pub win_registry_rejected: WindowedCounter,
     /// Windows shed per rolling window (→ sheds/sec).

@@ -595,16 +595,6 @@ pub fn from_shared<T: Snapshot>(shared: &SharedBytes) -> Result<T> {
     Ok(value)
 }
 
-/// Loads a snapshot by memory-mapping the file ([`SharedBytes::map`])
-/// and decoding through the zero-copy tier ([`from_shared`]): install
-/// cost is header + table + CRC validation plus structural decode, with
-/// large `f64` payloads served straight from the page cache instead of
-/// copied. The mapping stays alive as long as any decoded view does.
-pub fn load_mapped<T: Snapshot>(path: &Path) -> Result<T> {
-    let shared = SharedBytes::map(path)?;
-    from_shared(&shared)
-}
-
 /// Infix every writer-unique temp file carries between the original file
 /// name and its per-writer suffix — recovery and fsck treat any sibling
 /// whose name contains this marker as a stray crashed-writer temp.
@@ -637,8 +627,7 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 
 /// Writes `bytes` to `path` atomically **and durably**: the data lands
 /// in a writer-unique sibling temp file, is fsynced, renamed into place,
-/// and the parent directory is fsynced — so a reader (or the
-/// [`crate::registry::ModelRegistry`] directory scan) never observes a
+/// and the parent directory is fsynced — so a reader never observes a
 /// half-written snapshot, and a SIGKILL at any step leaves either the
 /// old file or the complete new one, never a torn tail at the final
 /// path. Crash points: [`mfod_faultline::points::PERSIST_FSYNC`] before
@@ -682,13 +671,15 @@ pub fn save<T: Snapshot>(value: &T, path: &Path) -> Result<()> {
     save_bytes(path, &to_bytes(value))
 }
 
-/// Loads a snapshot file written by [`save`].
+/// Loads a snapshot file written by [`save`] by memory-mapping it
+/// ([`SharedBytes::map`], an owned read off unix and for empty files)
+/// and decoding through the zero-copy tier ([`from_shared`]): header,
+/// table and CRC validation plus structural decode, with large `f64`
+/// payloads served straight from the page cache instead of copied. The
+/// decoded values are bit-identical to [`from_bytes`] over the same
+/// bytes, and the mapping stays alive as long as any decoded view does.
 pub fn load<T: Snapshot>(path: &Path) -> Result<T> {
-    let bytes = std::fs::read(path).map_err(|source| PersistError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    from_bytes(&bytes)
+    from_shared(&SharedBytes::map(path)?)
 }
 
 #[cfg(test)]
@@ -1011,9 +1002,9 @@ mod tests {
         let path = dir.join("w.mfod");
         save(&w, &path).unwrap();
 
-        let eager: Weights = load(&path).unwrap();
+        let eager: Weights = from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert!(!eager.m.is_borrowed());
-        let mapped: Weights = load_mapped(&path).unwrap();
+        let mapped: Weights = load(&path).unwrap();
         assert!(
             mapped.m.is_borrowed(),
             "aligned matrix payload must be served from the map"

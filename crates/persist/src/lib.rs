@@ -12,9 +12,12 @@
 //!   allocation, so untrusted bytes produce typed errors, never panics.
 //! * [`mod@format`] — the container: `MFOD` magic, format version, artifact
 //!   kind, section table, CRC-32 trailer ([`Snapshot`],
-//!   [`to_bytes`]/[`from_bytes`], atomic [`save`]/[`load`]).
-//! * [`registry`] — [`ModelRegistry`]: directory loading and atomic
-//!   hot-swap of the active `Arc<T>` under live traffic
+//!   [`to_bytes`]/[`from_bytes`], atomic [`save`] and mapped [`load`]).
+//! * [`store`] — [`ModelStore`]: crash-consistent promotion, recovery
+//!   and rollback over an append-only deploy log.
+//! * [`registry`] — [`ModelRegistry`]: follows a store's deploy log
+//!   ([`ModelRegistry::sync_store`], [`ModelRegistry::watch_store`]) and
+//!   hot-swaps the active `Arc<T>` atomically under live traffic
 //!   ([`Restorable`] bridges decoded snapshots back to live artifacts).
 //! * [`hash`] — stable FNV-1a hashing of byte and `f64`-bit content,
 //!   shared with `mfod-fda`'s grid-keyed selection-plan cache.
@@ -61,15 +64,13 @@ pub mod wire;
 
 pub use error::PersistError;
 pub use format::{
-    crc32, from_bytes, from_shared, load, load_mapped, save, save_bytes, to_bytes, LazySnapshot,
-    Snapshot, SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
+    crc32, from_bytes, from_shared, load, save, save_bytes, to_bytes, LazySnapshot, Snapshot,
+    SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
 };
 pub use hash::{fnv1a64, hash_f64s, Fnv1a};
 pub use manifest::{Manifest, ManifestEntry, KIND_MANIFEST};
 pub use map::{LazySection, SharedBytes};
-pub use registry::{
-    DirLoadReport, ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
-};
+pub use registry::{ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle};
 pub use store::{
     fsck_dir, generation_file, FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport,
     DEPLOY_LOG_FILE, MANIFEST_FILE, QUARANTINE_DIR,
@@ -84,13 +85,13 @@ pub type Result<T> = std::result::Result<T, PersistError>;
 pub mod prelude {
     pub use crate::error::PersistError;
     pub use crate::format::{
-        from_bytes, from_shared, load, load_mapped, save, to_bytes, LazySnapshot, Snapshot,
+        from_bytes, from_shared, load, save, to_bytes, LazySnapshot, Snapshot,
     };
     pub use crate::hash::{fnv1a64, hash_f64s, Fnv1a};
     pub use crate::manifest::{Manifest, ManifestEntry};
     pub use crate::map::{LazySection, SharedBytes};
     pub use crate::registry::{
-        DirLoadReport, ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
+        ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
     };
     pub use crate::store::{FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport};
     pub use crate::wire::{Decode, DecodeRef, Decoder, Encode, Encoder, F64Bits};

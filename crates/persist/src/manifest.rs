@@ -48,6 +48,28 @@ pub struct ManifestEntry {
     pub tag: String,
 }
 
+impl ManifestEntry {
+    /// Checks snapshot bytes against this entry's recorded length and
+    /// FNV-1a content hash; the error names the first mismatch.
+    pub(crate) fn check_bytes(&self, bytes: &[u8]) -> std::result::Result<(), String> {
+        if bytes.len() as u64 != self.len {
+            return Err(format!(
+                "length {} != manifest length {}",
+                bytes.len(),
+                self.len
+            ));
+        }
+        let actual = crate::hash::fnv1a64(bytes);
+        if actual != self.content_hash {
+            return Err(format!(
+                "content hash {actual:#018X} != manifest hash {:#018X}",
+                self.content_hash
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl Encode for ManifestEntry {
     fn encode(&self, w: &mut Encoder) {
         w.put_u64(self.generation);

@@ -1,24 +1,30 @@
-//! The serving-side model registry: load snapshot files, validate them,
-//! and atomically hot-swap the active model under live traffic.
+//! The serving-side model registry: follow a [`crate::store::ModelStore`]
+//! and atomically hot-swap its active model under live traffic.
 //!
 //! A [`ModelRegistry`] owns one *active* `Arc<T>` slot. Scoring threads
 //! call [`ModelRegistry::active`] per batch — a read-lock plus an `Arc`
 //! clone, never blocked by a concurrent install for longer than the swap
 //! of one pointer — while an operator (or a watcher thread) installs new
-//! generations with [`ModelRegistry::install`], [`load_file`] or
-//! [`load_dir`]. In-flight batches keep scoring against the `Arc` they
+//! generations. In-flight batches keep scoring against the `Arc` they
 //! already cloned; the swap is torn-batch-free by construction.
 //!
-//! Files are untrusted: anything malformed (bad magic, future version,
-//! truncation, checksum mismatch, wrong artifact kind, failed restore
-//! validation) is rejected with a typed [`PersistError`] and the active
-//! model is left untouched.
+//! Deployment has one source of truth: the store's `deploy.log`.
+//! [`ModelRegistry::sync_store`] replays it read-only and installs the
+//! committed active generation, so a promotion, a rollback and a
+//! roll-forward all reach the registry the same way;
+//! [`ModelRegistry::watch_store`] runs that sync from a background
+//! thread. [`ModelRegistry::install`], [`ModelRegistry::install_bytes`]
+//! and [`ModelRegistry::install_mapped`] stay available for callers that
+//! serve a model without a store.
 //!
-//! [`load_file`]: ModelRegistry::load_file
-//! [`load_dir`]: ModelRegistry::load_dir
+//! Snapshot bytes are untrusted: anything malformed (bad magic, future
+//! version, truncation, checksum or catalog-hash mismatch, wrong artifact
+//! kind, failed restore validation) is rejected with a typed
+//! [`PersistError`] and the active model is left untouched.
 
 use crate::error::PersistError;
-use crate::format::{from_bytes, from_shared, Snapshot, SNAPSHOT_EXT};
+use crate::format::{from_bytes, from_shared, Snapshot};
+use crate::manifest::ManifestEntry;
 use crate::map::SharedBytes;
 use crate::Result;
 use rand::rngs::StdRng;
@@ -26,7 +32,7 @@ use rand::{RngExt, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, SystemTime};
+use std::time::Duration;
 
 /// A live artifact that can be rebuilt from its snapshot form.
 ///
@@ -44,72 +50,15 @@ pub trait Restorable: Sized {
     fn restore(snapshot: Self::Snapshot) -> std::result::Result<Self, String>;
 }
 
-/// Outcome of a [`ModelRegistry::load_dir`] sweep.
-#[derive(Debug)]
-pub struct DirLoadReport {
-    /// The file that became active, with its new generation number.
-    pub installed: Option<(PathBuf, u64)>,
-    /// The newest valid file matched the currently active install, so
-    /// the sweep was a no-op (generation unchanged) — the steady state
-    /// of a polling watcher loop.
-    pub unchanged: Option<PathBuf>,
-    /// The no-op above was decided from file metadata alone (size +
-    /// mtime matched the active install), without reading a single
-    /// payload byte — the steady-state watcher poll is O(1) I/O, not
-    /// O(file).
-    pub stat_fast_path: bool,
-    /// Files that failed validation, each with its typed error.
-    pub rejected: Vec<(PathBuf, PersistError)>,
-    /// Candidate snapshot files considered (sorted by file name).
-    pub considered: usize,
-}
-
-/// Filesystems stamp mtimes with finite granularity (ns on ext4, 2 s on
-/// FAT): a file rewritten within one tick of its recorded mtime can
-/// carry an identical `(len, mtime)` pair with different bytes. The stat
-/// fast path is therefore only trusted once the recorded mtime was at
-/// least this old at the moment the identity was hash-confirmed — any
-/// later rewrite must then move the mtime forward past the recorded one.
-const MTIME_GRANULARITY: Duration = Duration::from_secs(2);
-
-/// Identity of the bytes behind the active install: file size, mtime
-/// (when installed from a file) and FNV-1a content hash. The size+mtime
-/// pair powers the stat-only fast path in [`ModelRegistry::load_dir`];
-/// the hash is the ground truth when metadata is inconclusive.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct SourceId {
-    len: u64,
-    mtime: Option<SystemTime>,
-    hash: u64,
-    /// Whether the `(len, mtime)` pair may stand in for the hash on the
-    /// next poll: true only when the mtime was already at least
-    /// [`MTIME_GRANULARITY`] old when this identity was recorded, closing
-    /// the same-tick rewrite blind spot. While false, every poll falls
-    /// back to the content hash until a confirmation observes an aged
-    /// mtime.
-    stat_stable: bool,
-}
-
-/// Is an mtime old enough, *right now*, for a same-tick rewrite to be
-/// impossible afterwards? See [`MTIME_GRANULARITY`].
-fn mtime_is_settled(mtime: Option<SystemTime>) -> bool {
-    mtime.is_some_and(|m| {
-        SystemTime::now()
-            .duration_since(m)
-            .is_ok_and(|age| age >= MTIME_GRANULARITY)
-    })
-}
-
 /// An atomically hot-swappable slot holding the active model generation.
 pub struct ModelRegistry<T> {
     active: RwLock<Option<Arc<T>>>,
     generation: AtomicU64,
-    /// Identity of the snapshot behind the active model, when it was
-    /// installed from bytes or a file — lets [`ModelRegistry::load_dir`]
-    /// skip re-reading (stat fast path) and re-decoding an unchanged
-    /// file on every watcher poll. `None` after a direct
-    /// [`ModelRegistry::install`].
-    active_source: Mutex<Option<SourceId>>,
+    /// `(store generation, content hash)` of the catalog entry behind
+    /// the active model, when a store installed it — lets
+    /// [`ModelRegistry::sync_store`] skip an unchanged active generation
+    /// without touching its file. `None` after any direct `install*`.
+    served: Mutex<Option<(u64, u64)>>,
 }
 
 impl<T> std::fmt::Debug for ModelRegistry<T> {
@@ -126,7 +75,7 @@ impl<T> Default for ModelRegistry<T> {
         ModelRegistry {
             active: RwLock::new(None),
             generation: AtomicU64::new(0),
-            active_source: Mutex::new(None),
+            served: Mutex::new(None),
         }
     }
 }
@@ -156,15 +105,22 @@ impl<T> ModelRegistry<T> {
     /// Atomically replaces the active model, returning the new generation
     /// number. The previous model is dropped when its last in-flight
     /// batch finishes.
+    ///
+    /// The store's log stays the source of truth: a direct install
+    /// forgets which store generation was served, so the next
+    /// [`ModelRegistry::sync_store`] re-installs the store's active
+    /// generation over it. The same holds for
+    /// [`ModelRegistry::install_bytes`] and
+    /// [`ModelRegistry::install_mapped`].
     pub fn install(&self, model: Arc<T>) -> u64 {
         self.install_tagged(model, None)
     }
 
-    fn install_tagged(&self, model: Arc<T>, source: Option<SourceId>) -> u64 {
-        // Take both locks in a fixed order so a concurrent load_dir's
-        // identity check can never observe a source newer than the slot.
+    fn install_tagged(&self, model: Arc<T>, served: Option<(u64, u64)>) -> u64 {
+        // Take both locks in a fixed order so a concurrent sync's identity
+        // check can never observe an identity newer than the slot.
         let mut slot = self.active.write().unwrap_or_else(|p| p.into_inner());
-        *self.active_source.lock().unwrap_or_else(|p| p.into_inner()) = source;
+        *self.served.lock().unwrap_or_else(|p| p.into_inner()) = served;
         *slot = Some(model);
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         if let Some(m) = mfod_obs::active() {
@@ -178,20 +134,13 @@ impl<T> ModelRegistry<T> {
 }
 
 impl<T: Restorable> ModelRegistry<T> {
-    /// Decodes, restores and installs a snapshot byte buffer.
+    /// Decodes, restores and installs a snapshot byte buffer. Resets the
+    /// served store identity, like [`ModelRegistry::install`].
     pub fn install_bytes(&self, bytes: &[u8]) -> Result<u64> {
         let started = mfod_obs::active().map(|_| std::time::Instant::now());
         let snapshot = from_bytes::<T::Snapshot>(bytes)?;
         let model = T::restore(snapshot).map_err(PersistError::Restore)?;
-        let generation = self.install_tagged(
-            Arc::new(model),
-            Some(SourceId {
-                len: bytes.len() as u64,
-                mtime: None,
-                hash: crate::hash::fnv1a64(bytes),
-                stat_stable: false,
-            }),
-        );
+        let generation = self.install_tagged(Arc::new(model), None);
         if let (Some(m), Some(t)) = (mfod_obs::active(), started) {
             m.registry_install_time
                 .record(t.elapsed().as_nanos() as u64);
@@ -200,11 +149,11 @@ impl<T: Restorable> ModelRegistry<T> {
     }
 
     /// Restores and installs a model from already-mapped snapshot bytes.
-    fn install_shared(&self, shared: &SharedBytes, source: SourceId) -> Result<u64> {
+    fn install_shared(&self, shared: &SharedBytes, served: Option<(u64, u64)>) -> Result<u64> {
         let started = mfod_obs::active().map(|_| std::time::Instant::now());
         let snapshot = from_shared::<T::Snapshot>(shared)?;
         let model = T::restore(snapshot).map_err(PersistError::Restore)?;
-        let generation = self.install_tagged(Arc::new(model), Some(source));
+        let generation = self.install_tagged(Arc::new(model), served);
         if let (Some(m), Some(t)) = (mfod_obs::active(), started) {
             m.registry_install_time
                 .record(t.elapsed().as_nanos() as u64);
@@ -218,159 +167,77 @@ impl<T: Restorable> ModelRegistry<T> {
     /// alignment allows; the decoded model owns the keep-alive handles,
     /// so the mapping lives exactly as long as any view into it. The
     /// active model is untouched when the file fails any validation step.
+    /// Resets the served store identity, like [`ModelRegistry::install`].
     pub fn install_mapped(&self, path: &Path) -> Result<u64> {
-        let meta = std::fs::metadata(path).map_err(|source| PersistError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let shared = SharedBytes::map(path)?;
-        let mtime = meta.modified().ok();
-        let source = SourceId {
-            len: meta.len(),
-            mtime,
-            hash: crate::hash::fnv1a64(shared.as_slice()),
-            stat_stable: mtime_is_settled(mtime),
-        };
-        self.install_shared(&shared, source)
+        self.install_shared(&SharedBytes::map(path)?, None)
     }
 
-    /// Loads one snapshot file and hot-swaps it in — via the mapped
-    /// zero-copy path ([`ModelRegistry::install_mapped`]). The active
-    /// model is untouched when the file fails any validation step.
-    pub fn load_file(&self, path: &Path) -> Result<u64> {
-        self.install_mapped(path)
+    /// Installs one store catalog entry from `dir`: maps the file once,
+    /// checks its length and FNV-1a hash against the entry, then decodes
+    /// through the zero-copy tier and records `(generation, content_hash)`
+    /// as the served identity. A mismatch is
+    /// [`PersistError::Malformed`] and leaves the active model untouched.
+    pub(crate) fn install_entry(&self, dir: &Path, entry: &ManifestEntry) -> Result<u64> {
+        let shared = SharedBytes::map(&dir.join(&entry.file))?;
+        entry
+            .check_bytes(shared.as_slice())
+            .map_err(|why| PersistError::Malformed(format!("{}: {why}", entry.file)))?;
+        self.install_shared(&shared, Some((entry.generation, entry.content_hash)))
     }
 
-    /// Scans `dir` for `*.mfod` snapshots and installs the newest valid
-    /// one, where "newest" is the lexicographically greatest file name —
-    /// write snapshots with sortable names (e.g. zero-padded generation
-    /// numbers or RFC-3339 timestamps) to get last-writer-wins.
+    /// Brings the registry up to the store at `dir`: replays its
+    /// `deploy.log` read-only and installs the committed active
+    /// generation, unless that generation (same store generation, same
+    /// content hash) is already the one served. Returns the store
+    /// generation now served.
     ///
-    /// Invalid files are skipped with their typed errors collected in the
-    /// report; they never unseat the active model.
-    ///
-    /// Re-running `load_dir` on an interval (a polling watcher) is the
-    /// intended deployment loop, so an unchanged winner is a no-op: when
-    /// the newest valid file's size and mtime match the active install
-    /// the sweep skips reading the file entirely (the stat fast path,
-    /// [`DirLoadReport::stat_fast_path`] — steady-state polls are O(1)
-    /// I/O); when metadata is inconclusive the file is mapped and its
-    /// content hash compared, skipping decode/restore on a match. Either
-    /// way the file lands in [`DirLoadReport::unchanged`] and the
-    /// generation counter is left alone — `generation()` counts real
-    /// model changes, not polls. Installs go through the mapped
-    /// zero-copy path ([`ModelRegistry::install_mapped`]).
-    pub fn load_dir(&self, dir: &Path) -> Result<DirLoadReport> {
+    /// * The follower never writes to `dir`: a torn log tail is read as
+    ///   its valid prefix and left for [`crate::store::ModelStore::open`]
+    ///   to quarantine.
+    /// * A damaged or unreadable active artifact is a typed error; the
+    ///   served model stays in place.
+    /// * When the log names nothing servable (no commit yet, or the
+    ///   recovery sentinel "rolled back to nothing"), the registry keeps
+    ///   whatever model it already has and returns `Ok(None)`.
+    /// * A direct `install*` call resets the served identity, so the next
+    ///   sync re-installs the store's active generation: the log is the
+    ///   one source of truth.
+    pub fn sync_store(&self, dir: &Path) -> Result<Option<u64>> {
         let obs = mfod_obs::active();
-        let sweep_started = obs.map(|_| std::time::Instant::now());
-        let report = self.load_dir_inner(dir);
-        if let (Some(m), Some(t)) = (obs, sweep_started) {
+        let started = obs.map(|_| std::time::Instant::now());
+        let outcome = self.sync_store_inner(dir);
+        if let (Some(m), Some(t)) = (obs, started) {
             m.registry_sweeps.add(1);
             m.registry_sweep_time.record_duration(t.elapsed());
-            if let Ok(report) = &report {
-                m.registry_rejected.add(report.rejected.len() as u64);
-                m.win_registry_rejected.add(report.rejected.len() as u64);
-                m.registry_unchanged
-                    .add(u64::from(report.unchanged.is_some()));
-            }
         }
-        report
+        outcome
     }
 
-    fn load_dir_inner(&self, dir: &Path) -> Result<DirLoadReport> {
+    fn sync_store_inner(&self, dir: &Path) -> Result<Option<u64>> {
         if mfod_faultline::should_fire(mfod_faultline::points::REGISTRY_SWEEP) {
             return Err(PersistError::Io {
                 path: dir.to_path_buf(),
                 source: std::io::Error::other("injected fault: registry.sweep"),
             });
         }
-        let entries = std::fs::read_dir(dir).map_err(|source| PersistError::Io {
-            path: dir.to_path_buf(),
-            source,
-        })?;
-        let mut files: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some(SNAPSHOT_EXT))
-            .collect();
-        files.sort();
-        let considered = files.len();
-        let mut rejected = Vec::new();
-        let mut installed = None;
-        let mut unchanged = None;
-        let mut stat_fast_path = false;
-        // newest first; the first valid file wins
-        for path in files.into_iter().rev() {
-            let io = |source| PersistError::Io {
-                path: path.clone(),
-                source,
-            };
-            let meta = match std::fs::metadata(&path) {
-                Ok(meta) => meta,
-                Err(source) => {
-                    rejected.push((path.clone(), io(source)));
-                    continue;
-                }
-            };
-            let (len, mtime) = (meta.len(), meta.modified().ok());
-            let active = *self.active_source.lock().unwrap_or_else(|p| p.into_inner());
-            // Stat fast path: size + mtime match the active install, so
-            // the poll skips reading the file entirely. Only trusted once
-            // the identity is *stat-stable* — hash-confirmed at a moment
-            // when the mtime was already a full granularity tick old — so
-            // a same-length rewrite inside the same mtime tick (the
-            // classic `(len, mtime)` blind spot) can never be skipped:
-            // until stability is confirmed, every poll hashes.
-            if let Some(active) = active {
-                if active.stat_stable && active.mtime == mtime && active.len == len {
-                    unchanged = Some(path);
-                    stat_fast_path = true;
-                    break;
-                }
+        let Some(entry) = crate::store::logged_active_entry(dir)? else {
+            return Ok(None);
+        };
+        let identity = Some((entry.generation, entry.content_hash));
+        if *self.served.lock().unwrap_or_else(|p| p.into_inner()) == identity {
+            if let Some(m) = mfod_obs::active() {
+                m.registry_unchanged.add(1);
             }
-            let shared = match SharedBytes::map(&path) {
-                Ok(shared) => shared,
-                Err(e) => {
-                    rejected.push((path, e));
-                    continue;
-                }
-            };
-            // hash over the mapped slice — no buffer copy even when the
-            // metadata check was inconclusive
-            let hash = crate::hash::fnv1a64(shared.as_slice());
-            if active.is_some_and(|a| a.hash == hash) {
-                // same content behind fresh or unconfirmed metadata:
-                // refresh the identity; the stat path arms once the
-                // mtime has settled (confirmed by this very hash check)
-                *self.active_source.lock().unwrap_or_else(|p| p.into_inner()) = Some(SourceId {
-                    len,
-                    mtime,
-                    hash,
-                    stat_stable: mtime_is_settled(mtime),
-                });
-                unchanged = Some(path);
-                break;
-            }
-            let source = SourceId {
-                len,
-                mtime,
-                hash,
-                stat_stable: mtime_is_settled(mtime),
-            };
-            match self.install_shared(&shared, source) {
-                Ok(generation) => {
-                    installed = Some((path, generation));
-                    break;
-                }
-                Err(e) => rejected.push((path, e)),
-            }
+            return Ok(Some(entry.generation));
         }
-        Ok(DirLoadReport {
-            installed,
-            unchanged,
-            stat_fast_path,
-            rejected,
-            considered,
-        })
+        if let Err(e) = self.install_entry(dir, &entry) {
+            if let Some(m) = mfod_obs::active() {
+                m.registry_rejected.add(1);
+                m.win_registry_rejected.add(1);
+            }
+            return Err(e);
+        }
+        Ok(Some(entry.generation))
     }
 }
 
@@ -384,20 +251,20 @@ type StopSignal = Arc<(Mutex<bool>, Condvar)>;
 /// [`WatchConfig::max_backoff`] clamps the interval anyway.
 const MAX_BACKOFF_LEVEL: u32 = 16;
 
-/// Tuning for a [`ModelRegistry::watch_dir_with`] watcher: the healthy
+/// Tuning for a [`ModelRegistry::watch_store_with`] watcher: the healthy
 /// poll interval plus the failure backoff schedule.
 ///
-/// Consecutive failing sweeps back the interval off exponentially —
+/// Consecutive failing syncs back the interval off exponentially —
 /// `interval · factorᵏ` after `k` consecutive failures, clamped to
 /// `max_backoff` — with a deterministic jitter (up to +25%, drawn from a
 /// xoshiro stream seeded by `jitter_seed`) so a fleet of watchers sharing
-/// a seed-per-host never thunders back in lockstep. One successful sweep
+/// a seed-per-host never thunders back in lockstep. One successful sync
 /// resets the schedule to `interval`.
 #[derive(Debug, Clone)]
 pub struct WatchConfig {
     /// Healthy steady-state poll interval.
     pub interval: Duration,
-    /// Backoff multiplier per consecutive failing sweep (values < 2 are
+    /// Backoff multiplier per consecutive failing sync (values < 2 are
     /// treated as 2⁰ = no growth beyond the first step... clamped to ≥1).
     pub backoff_factor: u32,
     /// Upper bound on the backed-off interval.
@@ -418,7 +285,7 @@ impl WatchConfig {
     }
 }
 
-/// The backed-off sleep before the next sweep: `interval · factor^level`
+/// The backed-off sleep before the next sync: `interval · factor^level`
 /// clamped to `max_backoff`, stretched by `jitter_frac ∈ [0, 1)` mapped
 /// onto `[1.0, 1.25)`. Level 0 (healthy) is exactly `interval`, no
 /// jitter. Pure, so the schedule is unit-testable without a watcher.
@@ -438,35 +305,31 @@ fn backoff_interval(config: &WatchConfig, level: u32, jitter_frac: f64) -> Durat
 }
 
 /// Point-in-time health of a watcher loop, surfaced by
-/// [`WatchHandle::health`]. Failing sweeps no longer vanish: the latest
+/// [`WatchHandle::health`]. Failing syncs no longer vanish: the latest
 /// typed error's message, the consecutive-failure streak and the current
 /// backoff posture are all readable while the watcher self-heals.
 #[derive(Debug, Clone)]
 pub struct RegistryHealth {
-    /// Did the most recent completed sweep succeed? (`true` before the
-    /// first sweep completes — no evidence of trouble yet.)
+    /// Did the most recent completed sync succeed? (`true` before the
+    /// first sync completes — no evidence of trouble yet.)
     pub healthy: bool,
     /// Length of the current consecutive-failure streak (0 when healthy).
     pub consecutive_failures: u64,
     /// Current backoff exponent (0 when healthy).
     pub backoff_level: u32,
-    /// The sleep chosen before the next sweep (equals the configured
+    /// The sleep chosen before the next sync (equals the configured
     /// interval when healthy, the jittered backed-off value otherwise).
     pub next_interval: Duration,
-    /// Message of the most recent sweep error, retained across recovery
-    /// for post-mortems; `None` until a sweep first fails.
+    /// Message of the most recent sync error, retained across recovery
+    /// for post-mortems; `None` until a sync first fails. A damaged
+    /// active artifact lands here with its typed reason.
     pub last_error: Option<String>,
     /// Times the watcher transitioned failing → healthy.
     pub recoveries: u64,
-    /// Per-path rejection reasons from the most recent *successful*
-    /// sweep that rejected anything, retained until a later sweep
-    /// rejects a different set — the evidence behind quarantine
-    /// decisions, readable instead of vanishing with the sweep report.
-    pub last_rejections: Vec<(PathBuf, String)>,
 }
 
-/// Handle to a background directory watcher started by
-/// [`ModelRegistry::watch_dir`] / [`ModelRegistry::watch_dir_with`].
+/// Handle to a background store follower started by
+/// [`ModelRegistry::watch_store`] / [`ModelRegistry::watch_store_with`].
 /// Dropping the handle (or calling [`WatchHandle::stop`]) signals the
 /// watcher thread and joins it.
 pub struct WatchHandle {
@@ -486,15 +349,15 @@ impl std::fmt::Debug for WatchHandle {
 }
 
 impl WatchHandle {
-    /// Number of completed `load_dir` sweeps so far (hash-skipped no-op
-    /// polls included; read [`ModelRegistry::generation`] for how many of
-    /// them actually deployed a new model).
+    /// Number of completed [`ModelRegistry::sync_store`] polls so far
+    /// (no-op polls included; read [`ModelRegistry::generation`] for how
+    /// many of them actually deployed a new model).
     pub fn polls(&self) -> u64 {
         self.polls.load(Ordering::Acquire)
     }
 
-    /// A snapshot of the watcher's health: last sweep outcome, failure
-    /// streak, backoff posture and the most recent sweep error.
+    /// A snapshot of the watcher's health: last sync outcome, failure
+    /// streak, backoff posture and the most recent sync error.
     pub fn health(&self) -> RegistryHealth {
         self.health
             .lock()
@@ -527,33 +390,36 @@ impl Drop for WatchHandle {
 
 impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
     /// Starts a background thread that re-runs
-    /// [`ModelRegistry::load_dir`] on `dir` every `interval` — the
-    /// push-free deployment loop: an operator drops a new `*.mfod`
-    /// snapshot into the directory and the next poll hot-swaps it in,
-    /// with no registry call from the serving path.
+    /// [`ModelRegistry::sync_store`] on the store at `dir` every
+    /// `interval` — the push-free deployment loop: an operator promotes
+    /// or rolls back through a [`crate::store::ModelStore`] and the next
+    /// poll hot-swaps the committed active generation in, with no
+    /// registry call from the serving path.
     ///
-    /// Polling is cheap in the steady state: an unchanged newest file
-    /// stat-matches the active install (size + mtime) and the sweep ends
-    /// without reading a single payload byte
-    /// ([`DirLoadReport::stat_fast_path`]), so watcher polls are O(1)
-    /// I/O and `generation()` keeps counting real deployments, not
-    /// polls. Sweep errors (e.g. the directory briefly missing during a
-    /// deploy) are non-fatal — the watcher self-heals: consecutive
-    /// failures back the poll interval off exponentially with
-    /// deterministic jitter (see [`WatchConfig`]), one success resets the
-    /// schedule, and the latest error stays readable via
-    /// [`WatchHandle::health`] instead of vanishing. Malformed snapshot
-    /// *files* were already non-fatal per the `load_dir` contract.
+    /// Polling is cheap in the steady state: an unchanged active
+    /// generation matches the served identity after one read of the
+    /// deploy log, so `generation()` keeps counting real deployments, not
+    /// polls. Sync errors (the directory briefly missing, a damaged
+    /// active artifact) are non-fatal and never unseat the served model —
+    /// the watcher self-heals: consecutive failures back the poll
+    /// interval off exponentially with deterministic jitter (see
+    /// [`WatchConfig`]), one success resets the schedule, and the latest
+    /// error stays readable via [`WatchHandle::health`] instead of
+    /// vanishing.
     ///
     /// The first poll runs immediately. The returned [`WatchHandle`]
     /// owns the thread: dropping it stops the watcher.
-    pub fn watch_dir(self: &Arc<Self>, dir: impl Into<PathBuf>, interval: Duration) -> WatchHandle {
-        self.watch_dir_with(dir, WatchConfig::new(interval))
+    pub fn watch_store(
+        self: &Arc<Self>,
+        dir: impl Into<PathBuf>,
+        interval: Duration,
+    ) -> WatchHandle {
+        self.watch_store_with(dir, WatchConfig::new(interval))
     }
 
-    /// [`ModelRegistry::watch_dir`] with an explicit backoff/jitter
+    /// [`ModelRegistry::watch_store`] with an explicit backoff/jitter
     /// configuration.
-    pub fn watch_dir_with(
+    pub fn watch_store_with(
         self: &Arc<Self>,
         dir: impl Into<PathBuf>,
         config: WatchConfig,
@@ -569,7 +435,6 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
             next_interval: config.interval,
             last_error: None,
             recoveries: 0,
-            last_rejections: Vec::new(),
         }));
         let thread = {
             let stop = Arc::clone(&stop);
@@ -582,25 +447,18 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
                     let mut jitter = StdRng::seed_from_u64(config.jitter_seed);
                     let mut level: u32 = 0;
                     loop {
-                        let outcome = registry.load_dir(&dir);
+                        let outcome = registry.sync_store(&dir);
                         polls.fetch_add(1, Ordering::AcqRel);
                         let sleep = {
                             let mut h = health.lock().unwrap_or_else(|p| p.into_inner());
                             match outcome {
-                                Ok(report) => {
+                                Ok(_) => {
                                     if !h.healthy {
                                         h.recoveries += 1;
                                     }
                                     h.healthy = true;
                                     h.consecutive_failures = 0;
                                     level = 0;
-                                    if !report.rejected.is_empty() {
-                                        h.last_rejections = report
-                                            .rejected
-                                            .iter()
-                                            .map(|(p, e)| (p.clone(), e.to_string()))
-                                            .collect();
-                                    }
                                 }
                                 Err(e) => {
                                     h.healthy = false;
@@ -609,7 +467,7 @@ impl<T: Restorable + Send + Sync + 'static> ModelRegistry<T> {
                                     level = (level + 1).min(MAX_BACKOFF_LEVEL);
                                 }
                             }
-                            // one jitter draw per *failing* sweep keeps the
+                            // one jitter draw per *failing* sync keeps the
                             // stream a pure function of the failure schedule
                             let frac = if level > 0 { jitter.random() } else { 0.0 };
                             let sleep = backoff_interval(&config, level, frac);
@@ -665,6 +523,8 @@ mod tests {
 
     use super::*;
     use crate::format::{save, to_bytes};
+    use crate::store::{generation_file, ModelStore, DEPLOY_LOG_FILE};
+    use crate::wal::{append_record, LogRecord};
     use crate::wire::{Decode, Decoder, Encode, Encoder};
 
     #[derive(Debug, Clone, PartialEq)]
@@ -712,18 +572,6 @@ mod tests {
         dir
     }
 
-    /// Backdates `path`'s mtime past [`MTIME_GRANULARITY`], so the next
-    /// hash confirmation marks the identity stat-stable without a sleep.
-    fn age_mtime(path: &Path) {
-        let old = SystemTime::now() - MTIME_GRANULARITY - Duration::from_secs(3);
-        std::fs::File::options()
-            .write(true)
-            .open(path)
-            .unwrap()
-            .set_modified(old)
-            .unwrap();
-    }
-
     #[test]
     fn empty_registry_has_no_active_model() {
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
@@ -768,148 +616,166 @@ mod tests {
         assert_eq!(reg.generation(), 1);
     }
 
-    #[test]
-    fn load_dir_prefers_newest_valid_and_reports_rejects() {
-        let _guard = mfod_faultline::serial_guard();
-        let dir = tmpdir("dir");
-        save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
-        save(&WeightsSnapshot { w: vec![2.0] }, &dir.join("gen-002.mfod")).unwrap();
-        // newest file is corrupt: the registry must fall back to gen-002
-        let mut corrupt = to_bytes(&WeightsSnapshot { w: vec![9.0] });
-        let n = corrupt.len();
-        corrupt[n - 1] ^= 0xAA;
-        std::fs::write(dir.join("gen-003.mfod"), &corrupt).unwrap();
-        // non-snapshot files are ignored entirely
-        std::fs::write(dir.join("README.txt"), b"not a model").unwrap();
-
-        let reg: ModelRegistry<Weights> = ModelRegistry::new();
-        let report = reg.load_dir(&dir).unwrap();
-        assert_eq!(report.considered, 3);
-        assert_eq!(report.rejected.len(), 1);
-        assert!(report.rejected[0].0.ends_with("gen-003.mfod"));
-        let (winner, generation) = report.installed.as_ref().unwrap();
-        assert!(winner.ends_with("gen-002.mfod"));
-        assert_eq!(*generation, 1);
-        assert_eq!(reg.active().unwrap().w, vec![2.0]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn load_dir_skips_unchanged_active_bytes() {
-        let _guard = mfod_faultline::serial_guard();
-        let dir = tmpdir("unchanged");
-        save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
-        let reg: ModelRegistry<Weights> = ModelRegistry::new();
-        let first = reg.load_dir(&dir).unwrap();
-        assert!(first.installed.is_some());
-        assert!(first.unchanged.is_none());
-        assert_eq!(reg.generation(), 1);
-        // watcher steady state: same file, same bytes → no-op
-        for _ in 0..3 {
-            let poll = reg.load_dir(&dir).unwrap();
-            assert!(poll.installed.is_none());
-            assert!(poll
-                .unchanged
-                .as_ref()
-                .is_some_and(|p| p.ends_with("gen-001.mfod")));
-            assert_eq!(reg.generation(), 1, "polls must not bump the generation");
-        }
-        // a genuinely new file still swaps
-        save(&WeightsSnapshot { w: vec![2.0] }, &dir.join("gen-002.mfod")).unwrap();
-        let swap = reg.load_dir(&dir).unwrap();
-        assert!(swap.installed.is_some());
-        assert_eq!(reg.generation(), 2);
-        // a direct install (no bytes) clears the hash, so the next poll
-        // conservatively re-installs from disk rather than assuming
-        reg.install(Arc::new(Weights { w: vec![9.0] }));
-        assert_eq!(reg.generation(), 3);
-        let poll = reg.load_dir(&dir).unwrap();
-        assert!(poll.installed.is_some());
-        assert_eq!(reg.generation(), 4);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn steady_state_polls_take_the_stat_fast_path() {
-        let _guard = mfod_faultline::serial_guard();
-        let dir = tmpdir("statfast");
-        let path = dir.join("gen-001.mfod");
-        save(&WeightsSnapshot { w: vec![1.0, 2.0] }, &path).unwrap();
-        // settle the mtime so the install itself confirms stat stability
-        age_mtime(&path);
-        let reg: ModelRegistry<Weights> = ModelRegistry::new();
-        let first = reg.load_dir(&dir).unwrap();
-        assert!(first.installed.is_some());
-        assert!(!first.stat_fast_path);
-        // second poll: size + mtime match a settled identity — decided
-        // without reading bytes
-        let poll = reg.load_dir(&dir).unwrap();
-        assert!(poll.unchanged.is_some());
-        assert!(poll.stat_fast_path, "steady-state poll must be stat-only");
-        // re-write identical content: mtime moves to "now", hash still
-        // matches — polls keep hashing while the mtime is fresh (the
-        // same-tick rewrite window), and the stat path re-arms only once
-        // the identity is confirmed over a settled mtime
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
-        let rehash = reg.load_dir(&dir).unwrap();
-        assert!(rehash.unchanged.is_some());
-        assert!(
-            !rehash.stat_fast_path,
-            "a fresh mtime must force the hash fallback"
-        );
-        let fresh = reg.load_dir(&dir).unwrap();
-        assert!(fresh.unchanged.is_some());
-        assert!(
-            !fresh.stat_fast_path,
-            "the stat path must stay disarmed while the mtime is fresh"
-        );
-        age_mtime(&path);
-        let confirm = reg.load_dir(&dir).unwrap(); // hash poll confirms over a settled mtime
-        assert!(confirm.unchanged.is_some());
-        let again = reg.load_dir(&dir).unwrap();
-        assert!(again.unchanged.is_some());
-        assert!(again.stat_fast_path, "stat path must re-arm after settling");
-        assert_eq!(reg.generation(), 1, "no-op polls never bump the generation");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Regression: the `(len, mtime)` stat fast path used to silently
-    /// skip a snapshot rewritten in place with identical length inside
-    /// one mtime tick. With stat stability the unsettled identity falls
-    /// back to the content hash and catches the new bytes.
-    #[test]
-    fn same_tick_equal_length_rewrite_is_caught_by_hash_fallback() {
-        let _guard = mfod_faultline::serial_guard();
-        let dir = tmpdir("sametick");
-        let path = dir.join("gen-001.mfod");
-        save(&WeightsSnapshot { w: vec![1.0, 2.0] }, &path).unwrap();
-        let reg: ModelRegistry<Weights> = ModelRegistry::new();
-        reg.load_dir(&dir).unwrap();
-        assert_eq!(reg.active().unwrap().w, vec![1.0, 2.0]);
-        let recorded_mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
-
-        // in-place rewrite: different bytes, same length, and the mtime
-        // pinned to the recorded value — exactly the blind spot
-        let rewritten = to_bytes(&WeightsSnapshot { w: vec![5.0, 6.0] });
-        assert_eq!(
-            rewritten.len() as u64,
-            std::fs::metadata(&path).unwrap().len(),
-            "test requires an equal-length rewrite"
-        );
-        std::fs::write(&path, &rewritten).unwrap();
-        std::fs::File::options()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_modified(recorded_mtime)
+    /// Promotes a one-weight generation.
+    fn promote(store: &mut ModelStore, w: f64) {
+        store
+            .promote(&WeightsSnapshot { w: vec![w] }, 0, "t")
             .unwrap();
+    }
 
-        let poll = reg.load_dir(&dir).unwrap();
-        assert!(!poll.stat_fast_path, "unsettled identity must hash");
-        assert!(poll.installed.is_some(), "rewrite must be detected");
-        assert_eq!(reg.generation(), 2);
-        assert_eq!(reg.active().unwrap().w, vec![5.0, 6.0]);
+    /// Opens a store at `dir` and promotes one generation per weight.
+    fn store_with(dir: &Path, weights: &[f64]) -> ModelStore {
+        let (mut store, _) = ModelStore::open(dir).unwrap();
+        for &w in weights {
+            promote(&mut store, w);
+        }
+        store
+    }
+
+    /// Flips one byte in the middle of a generation's snapshot file,
+    /// keeping its length.
+    fn flip_middle_byte(dir: &Path, generation: u64) {
+        let path = dir.join(generation_file(generation));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    /// Polls `done` every 2 ms for up to 10 s.
+    fn wait_until(mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// The ROADMAP sequence: promote g1, promote g2, rollback to g1,
+    /// install the active generation, then poll. A follower must keep
+    /// serving g1; the newest file on disk (g2) must never come back.
+    #[test]
+    fn follower_keeps_a_rollback_and_follows_the_next_promotion() {
+        let _guard = mfod_faultline::serial_guard();
+        let dir = tmpdir("rollback");
+        let mut store = store_with(&dir, &[1.0, 2.0]);
+        let follower: ModelRegistry<Weights> = ModelRegistry::new();
+        assert_eq!(follower.sync_store(&dir).unwrap(), Some(2));
+        assert_eq!(follower.active().unwrap().w, vec![2.0]);
+
+        store.rollback(1).unwrap();
+        let reg: ModelRegistry<Weights> = ModelRegistry::new();
+        assert_eq!(store.install_active(&reg).unwrap(), Some(1));
+        assert_eq!(follower.sync_store(&dir).unwrap(), Some(1));
+        for registry in [&reg, &follower] {
+            let generation = registry.generation();
+            let served = registry.active().unwrap();
+            assert_eq!(served.w, vec![1.0]);
+            for _ in 0..3 {
+                assert_eq!(registry.sync_store(&dir).unwrap(), Some(1));
+                assert_eq!(registry.generation(), generation);
+                assert!(Arc::ptr_eq(&registry.active().unwrap(), &served));
+            }
+        }
+
+        promote(&mut store, 3.0);
+        for registry in [&reg, &follower] {
+            assert_eq!(registry.sync_store(&dir).unwrap(), Some(3));
+            assert_eq!(registry.active().unwrap().w, vec![3.0]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damaged_active_artifact_is_a_typed_sync_error_and_keeps_the_model() {
+        let _guard = mfod_faultline::serial_guard();
+        let dir = tmpdir("damaged");
+        let mut store = store_with(&dir, &[1.0]);
+        let reg: ModelRegistry<Weights> = ModelRegistry::new();
+        reg.sync_store(&dir).unwrap();
+        let served = reg.active().unwrap();
+        promote(&mut store, 2.0);
+        flip_middle_byte(&dir, 2);
+        let err = reg.sync_store(&dir).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Malformed(why) if why.contains("content hash")),
+            "{err}"
+        );
+        assert_eq!(reg.generation(), 1);
+        assert!(Arc::ptr_eq(&reg.active().unwrap(), &served));
+        // the store's own install goes through the same check
+        assert!(matches!(
+            store.install_active(&reg),
+            Err(PersistError::Malformed(_))
+        ));
+        // a truncated artifact fails the length check first
+        let path = dir.join(generation_file(2));
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        let err = reg.sync_store(&dir).unwrap_err();
+        assert!(err.to_string().contains("length"), "{err}");
+        assert!(Arc::ptr_eq(&reg.active().unwrap(), &served));
+        // the follower only reads: recovery is still the store's job
+        assert!(!dir.join(crate::store::QUARANTINE_DIR).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_log_tail_is_read_as_its_valid_prefix_without_writes() {
+        let _guard = mfod_faultline::serial_guard();
+        let dir = tmpdir("torn");
+        drop(store_with(&dir, &[1.0, 2.0]));
+        // a rollback to g1 that died mid-append: only a prefix of its
+        // frame reached the log
+        let scratch = dir.join("frame.log");
+        append_record(&scratch, &LogRecord::Rollback { from: 2, to: 1 }).unwrap();
+        let frame = std::fs::read(&scratch).unwrap();
+        std::fs::remove_file(&scratch).unwrap();
+        let log = dir.join(DEPLOY_LOG_FILE);
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes.extend_from_slice(&frame[..frame.len() - 3]);
+        std::fs::write(&log, &bytes).unwrap();
+
+        let reg: ModelRegistry<Weights> = ModelRegistry::new();
+        assert_eq!(reg.sync_store(&dir).unwrap(), Some(2));
+        assert_eq!(reg.active().unwrap().w, vec![2.0]);
+        assert_eq!(std::fs::read(&log).unwrap(), bytes, "the log is untouched");
+        assert!(!dir.join(crate::store::QUARANTINE_DIR).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn nothing_servable_keeps_the_model_and_direct_installs_yield_to_the_log() {
+        let _guard = mfod_faultline::serial_guard();
+        let dir = tmpdir("sentinel");
+        let reg: ModelRegistry<Weights> = ModelRegistry::new();
+        // a missing directory is an error; an empty store serves nothing
+        let missing = dir.join("not-there");
+        assert!(matches!(
+            reg.sync_store(&missing),
+            Err(PersistError::Io { path, .. }) if path == missing
+        ));
+        assert_eq!(reg.sync_store(&dir).unwrap(), None);
+        assert!(reg.active().is_none());
+
+        drop(store_with(&dir, &[1.0]));
+        assert_eq!(reg.sync_store(&dir).unwrap(), Some(1));
+        // a direct install forgets the store identity: the next sync
+        // re-installs the store's active generation over it
+        reg.install(Arc::new(Weights { w: vec![9.0] }));
+        assert_eq!(reg.sync_store(&dir).unwrap(), Some(1));
+        assert_eq!(reg.active().unwrap().w, vec![1.0]);
+        assert_eq!(reg.generation(), 3);
+
+        // recovery's "rolled back to nothing" sentinel: keep what we have
+        append_record(
+            &dir.join(DEPLOY_LOG_FILE),
+            &LogRecord::Rollback { from: 1, to: 0 },
+        )
+        .unwrap();
+        let served = reg.active().unwrap();
+        assert_eq!(reg.sync_store(&dir).unwrap(), None);
+        assert_eq!(reg.generation(), 3);
+        assert!(Arc::ptr_eq(&reg.active().unwrap(), &served));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -943,7 +809,7 @@ mod tests {
         let dir = tmpdir("heal");
         let gone = dir.join("not-yet-there");
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
-        let handle = reg.watch_dir_with(
+        let handle = reg.watch_store_with(
             &gone,
             WatchConfig {
                 interval: Duration::from_millis(2),
@@ -952,12 +818,9 @@ mod tests {
                 jitter_seed: 7,
             },
         );
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        // failing sweeps: unhealthy, streak grows, backoff engages, the
+        // failing syncs: unhealthy, streak grows, backoff engages, the
         // error is surfaced instead of vanishing
-        while handle.health().consecutive_failures < 3 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_until(|| handle.health().consecutive_failures >= 3);
         let sick = handle.health();
         assert!(!sick.healthy);
         assert!(sick.consecutive_failures >= 3);
@@ -967,17 +830,10 @@ mod tests {
             .last_error
             .as_deref()
             .is_some_and(|e| e.contains("not-yet-there")));
-        // the directory appears with a valid snapshot: the watcher must
+        // the store appears with a promoted generation: the watcher must
         // recover hands-free and reset the schedule
-        std::fs::create_dir_all(&gone).unwrap();
-        save(
-            &WeightsSnapshot { w: vec![4.0] },
-            &gone.join("gen-001.mfod"),
-        )
-        .unwrap();
-        while !handle.health().healthy && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        drop(store_with(&gone, &[4.0]));
+        wait_until(|| handle.health().healthy);
         let well = handle.health();
         assert!(well.healthy, "watcher must self-heal");
         assert_eq!(well.consecutive_failures, 0);
@@ -985,58 +841,45 @@ mod tests {
         assert_eq!(well.next_interval, Duration::from_millis(2));
         assert!(well.recoveries >= 1);
         assert!(well.last_error.is_some(), "history survives recovery");
-        while reg.generation() < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_until(|| reg.generation() >= 1);
         assert_eq!(reg.active().unwrap().w, vec![4.0]);
         handle.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn watcher_surfaces_per_path_rejection_reasons() {
+    fn watcher_surfaces_a_damaged_active_artifact_until_rollback() {
         let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("rejections");
-        save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
-        // a corrupt upload lands next to the good generation
-        let mut corrupt = std::fs::read(dir.join("gen-001.mfod")).unwrap();
-        let n = corrupt.len();
-        corrupt[n / 2] ^= 0xFF;
-        let bad = dir.join("gen-002.mfod");
-        std::fs::write(&bad, &corrupt).unwrap();
-
+        let mut store = store_with(&dir, &[1.0]);
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
-        let handle = reg.watch_dir_with(
-            &dir,
-            WatchConfig {
-                interval: Duration::from_millis(2),
-                ..WatchConfig::new(Duration::from_millis(2))
-            },
-        );
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while (reg.generation() < 1 || handle.health().last_rejections.is_empty())
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // the corrupt file never unseated the good model, and its typed
-        // rejection reason is on the health surface, keyed by path
+        reg.sync_store(&dir).unwrap();
+        // a promotion whose artifact rots on disk before anyone serves it
+        promote(&mut store, 2.0);
+        flip_middle_byte(&dir, 2);
+
+        let handle = reg.watch_store(&dir, Duration::from_millis(2));
+        wait_until(|| handle.health().consecutive_failures >= 2);
+        // the damaged generation never unseated the good model, and its
+        // typed reason is on the health surface
         assert_eq!(reg.active().unwrap().w, vec![1.0]);
+        assert_eq!(reg.generation(), 1);
         let health = handle.health();
-        let (path, why) = health
-            .last_rejections
-            .first()
-            .expect("rejection must surface");
-        assert!(path.ends_with("gen-002.mfod"), "{path:?}");
-        assert!(why.contains("checksum"), "{why}");
-        // once the bad file is gone, clean sweeps retain the last
-        // non-empty evidence for post-mortems
-        std::fs::remove_file(&bad).unwrap();
+        assert!(!health.healthy);
+        let why = health.last_error.expect("rejection must surface");
+        assert!(why.contains("gen-000002.mfod"), "{why}");
+        assert!(why.contains("content hash"), "{why}");
+        // rolling back to the served generation heals without a swap,
+        // and the reason is retained for post-mortems
+        store.rollback(1).unwrap();
+        wait_until(|| handle.health().healthy);
         let polls = handle.polls();
-        while handle.polls() < polls + 3 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(!handle.health().last_rejections.is_empty());
+        wait_until(|| handle.polls() >= polls + 3);
+        let health = handle.health();
+        assert!(health.healthy);
+        assert!(health.recoveries >= 1);
+        assert!(health.last_error.is_some());
+        assert_eq!(reg.generation(), 1);
         handle.stop();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1047,15 +890,10 @@ mod tests {
         let dir = tmpdir("mapped");
         let path = dir.join("gen-001.mfod");
         save(&WeightsSnapshot { w: vec![7.0, 8.0] }, &path).unwrap();
-        age_mtime(&path); // settle so the install arms the stat path
         let reg: ModelRegistry<Weights> = ModelRegistry::new();
         let generation = reg.install_mapped(&path).unwrap();
         assert_eq!(generation, 1);
         assert_eq!(reg.active().unwrap().w, vec![7.0, 8.0]);
-        // the mapped install arms the stat fast path for the watcher loop
-        let poll = reg.load_dir(&dir).unwrap();
-        assert!(poll.unchanged.is_some());
-        assert!(poll.stat_fast_path);
         // corrupt file: typed error, active model untouched
         let mut corrupt = std::fs::read(&path).unwrap();
         let n = corrupt.len();
@@ -1072,65 +910,36 @@ mod tests {
     }
 
     #[test]
-    fn load_dir_with_no_valid_files_installs_nothing() {
-        let _guard = mfod_faultline::serial_guard();
-        let dir = tmpdir("empty");
-        std::fs::write(dir.join("junk.mfod"), b"garbage").unwrap();
-        let reg: ModelRegistry<Weights> = ModelRegistry::new();
-        let report = reg.load_dir(&dir).unwrap();
-        assert!(report.installed.is_none());
-        assert_eq!(report.rejected.len(), 1);
-        assert!(reg.active().is_none());
-        // a missing directory is a typed io error
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert!(matches!(reg.load_dir(&dir), Err(PersistError::Io { .. })));
-    }
-
-    #[test]
-    fn watcher_hot_swaps_new_snapshots_and_stops_cleanly() {
+    fn watcher_hot_swaps_new_promotions_and_stops_cleanly() {
         let _guard = mfod_faultline::serial_guard();
         let dir = tmpdir("watch");
-        save(&WeightsSnapshot { w: vec![1.0] }, &dir.join("gen-001.mfod")).unwrap();
+        let mut store = store_with(&dir, &[1.0]);
         let reg: Arc<ModelRegistry<Weights>> = Arc::new(ModelRegistry::new());
-        let handle = reg.watch_dir(&dir, Duration::from_millis(5));
+        let handle = reg.watch_store(&dir, Duration::from_millis(5));
         // the first (immediate) poll installs generation 1
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while reg.generation() < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_until(|| reg.generation() >= 1);
         assert_eq!(reg.generation(), 1, "watcher must install the snapshot");
         assert_eq!(reg.active().unwrap().w, vec![1.0]);
-        // steady-state polls are hash-skipped no-ops
+        // steady-state polls are no-ops
         let polled = handle.polls();
-        while handle.polls() < polled + 3 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        wait_until(|| handle.polls() >= polled + 3);
         assert_eq!(reg.generation(), 1, "no-op polls must not bump generation");
-        // a new snapshot lands: the next poll hot-swaps, hands-free
-        save(&WeightsSnapshot { w: vec![2.0] }, &dir.join("gen-002.mfod")).unwrap();
-        while reg.generation() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(reg.generation(), 2, "watcher must pick up the new file");
+        // a new generation is promoted: the next poll hot-swaps, hands-free
+        promote(&mut store, 2.0);
+        wait_until(|| reg.generation() >= 2);
+        assert_eq!(reg.generation(), 2, "watcher must pick up the promotion");
         assert_eq!(reg.active().unwrap().w, vec![2.0]);
         assert!(format!("{handle:?}").contains("polls"));
-        // stop joins; no further polls land afterwards
+        // stop joins; a third promotion must NOT be installed once stopped
         handle.stop();
-        let polls_after_stop = {
-            // re-create a handle-less count by watching generation: a
-            // third snapshot must NOT be installed once stopped
-            save(&WeightsSnapshot { w: vec![3.0] }, &dir.join("gen-003.mfod")).unwrap();
-            std::thread::sleep(Duration::from_millis(30));
-            reg.generation()
-        };
-        assert_eq!(polls_after_stop, 2, "a stopped watcher must not swap");
+        promote(&mut store, 3.0);
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(reg.generation(), 2, "a stopped watcher must not swap");
         // a watcher on a missing directory survives and keeps polling
         let missing = dir.join("not-there");
-        let lost = reg.watch_dir(&missing, Duration::from_millis(5));
-        while lost.polls() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(lost.polls() >= 2, "sweep errors must not kill the watcher");
+        let lost = reg.watch_store(&missing, Duration::from_millis(5));
+        wait_until(|| lost.polls() >= 2);
+        assert!(lost.polls() >= 2, "sync errors must not kill the watcher");
         drop(lost); // drop also stops
         std::fs::remove_dir_all(&dir).unwrap();
     }

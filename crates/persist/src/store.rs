@@ -7,15 +7,17 @@
 //! ```text
 //! <dir>/
 //!   gen-000001.mfod     snapshot files, one per promoted generation
-//!   gen-000002.mfod     (zero-padded so lexicographic == numeric order,
-//!   ...                  which is what ModelRegistry::load_dir installs)
+//!   gen-000002.mfod     (zero-padded so lexicographic == numeric order)
+//!   ...
 //!   store.manifest      catalog checkpoint (MFOD container, KIND 6)
 //!   deploy.log          append-only deployment log (source of truth)
 //!   quarantine/         torn/uncommitted artifacts, moved, never deleted
 //! ```
 //!
-//! The metadata files deliberately avoid the `.mfod` extension so a
-//! registry watching the same directory never tries to install them.
+//! The metadata files deliberately avoid the `.mfod` extension, so
+//! recovery's directory sweep and fsck never take them for snapshots.
+//! A [`ModelRegistry`] follows the store through the log alone
+//! ([`ModelRegistry::sync_store`]), never by listing the directory.
 //!
 //! ## Durability contract
 //!
@@ -51,8 +53,8 @@ use crate::Result;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// File name of the manifest checkpoint (not `.mfod`, so directory
-/// sweeps skip it).
+/// File name of the manifest checkpoint (not `.mfod`, so recovery's
+/// directory sweep skips it).
 pub const MANIFEST_FILE: &str = "store.manifest";
 /// File name of the append-only deployment log.
 pub const DEPLOY_LOG_FILE: &str = "deploy.log";
@@ -60,7 +62,7 @@ pub const DEPLOY_LOG_FILE: &str = "deploy.log";
 pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// Snapshot file name for a generation: zero-padded so lexicographic
-/// order is numeric order (what `load_dir` keys "newest" on).
+/// order is numeric order.
 pub fn generation_file(generation: u64) -> String {
     format!("gen-{generation:06}.{SNAPSHOT_EXT}")
 }
@@ -573,8 +575,11 @@ impl ModelStore {
     }
 
     /// Installs the active generation into `registry` via the mapped
-    /// zero-copy path. Returns the installed **store** generation, or
-    /// `None` when the store has nothing committed.
+    /// zero-copy path: one map, a length and content-hash check against
+    /// the catalog entry, one decode. Returns the installed **store**
+    /// generation, or `None` when the store has nothing committed. A
+    /// later [`ModelRegistry::sync_store`] on this directory sees the
+    /// generation as already served.
     pub fn install_active<T: Restorable>(
         &self,
         registry: &ModelRegistry<T>,
@@ -582,7 +587,7 @@ impl ModelStore {
         let Some(entry) = self.manifest.active_entry() else {
             return Ok(None);
         };
-        registry.install_mapped(&self.dir.join(&entry.file))?;
+        registry.install_entry(&self.dir, entry)?;
         Ok(Some(entry.generation))
     }
 
@@ -601,20 +606,7 @@ impl ModelStore {
 /// on the first failure.
 fn validate_entry_bytes(path: &Path, entry: &ManifestEntry) -> std::result::Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-    if bytes.len() as u64 != entry.len {
-        return Err(format!(
-            "length {} != manifest length {}",
-            bytes.len(),
-            entry.len
-        ));
-    }
-    let actual = fnv1a64(&bytes);
-    if actual != entry.content_hash {
-        return Err(format!(
-            "content hash {actual:#018X} != manifest hash {:#018X}",
-            entry.content_hash
-        ));
-    }
+    entry.check_bytes(&bytes)?;
     let reader = SnapshotReader::parse(&bytes).map_err(|e| format!("container invalid: {e}"))?;
     if reader.kind() != entry.kind {
         return Err(format!(
@@ -624,6 +616,28 @@ fn validate_entry_bytes(path: &Path, entry: &ManifestEntry) -> std::result::Resu
         ));
     }
     Ok(())
+}
+
+/// The committed active entry of the store at `dir`, derived read-only
+/// from its deploy log: nothing is truncated, quarantined or
+/// checkpointed, so a torn tail reads as its valid prefix. `None` when
+/// nothing is servable — no commit yet, or the "rolled back to nothing"
+/// sentinel. A missing `dir` is an I/O error; a missing log is an empty
+/// store.
+pub(crate) fn logged_active_entry(dir: &Path) -> Result<Option<ManifestEntry>> {
+    std::fs::metadata(dir).map_err(|source| PersistError::Io {
+        path: dir.to_path_buf(),
+        source,
+    })?;
+    let mut state = derive_state(&replay(&dir.join(DEPLOY_LOG_FILE))?.records);
+    let Some(active) = state.active else {
+        return Ok(None);
+    };
+    state.intents.remove(&active).map(Some).ok_or_else(|| {
+        PersistError::Malformed(format!(
+            "deploy log commits generation {active} without an intent"
+        ))
+    })
 }
 
 /// [`ModelStore::fsck`] as a free function — verifies any directory
@@ -838,6 +852,16 @@ mod tests {
         const NAME: &'static str = "weights";
     }
 
+    /// A live artifact restored from [`Weights`], for registry installs.
+    struct Live(Weights);
+
+    impl Restorable for Live {
+        type Snapshot = Weights;
+        fn restore(s: Weights) -> std::result::Result<Self, String> {
+            Ok(Live(s))
+        }
+    }
+
     fn weights(seed: u64) -> Weights {
         Weights {
             w: (0..32).map(|i| (seed as f64) + i as f64 * 0.5).collect(),
@@ -1015,8 +1039,14 @@ mod tests {
             .iter()
             .any(|(_, r)| matches!(r, QuarantineReason::Damaged(_))));
         assert_eq!(store.active_generation(), Some(1));
-        // the fallback was logged, so a recovered store fscks clean
+        // the fallback was logged, so a recovered store fscks clean and a
+        // registry following the log serves what the store installs
         assert!(store.fsck().unwrap().is_clean());
+        let installed = ModelRegistry::<Live>::new();
+        let followed = ModelRegistry::<Live>::new();
+        assert_eq!(store.install_active(&installed).unwrap(), Some(1));
+        assert_eq!(followed.sync_store(&dir).unwrap(), Some(1));
+        assert_eq!(followed.active().unwrap().0, weights(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1159,13 +1189,6 @@ mod tests {
     #[test]
     fn install_active_threads_the_store_into_the_registry() {
         let _guard = mfod_faultline::serial_guard();
-        struct Live(Weights);
-        impl Restorable for Live {
-            type Snapshot = Weights;
-            fn restore(s: Weights) -> std::result::Result<Self, String> {
-                Ok(Live(s))
-            }
-        }
         let dir = tmpdir("install");
         let (mut store, _) = ModelStore::open(&dir).unwrap();
         let registry = ModelRegistry::<Live>::new();
@@ -1174,6 +1197,10 @@ mod tests {
         let gen = store.install_active(&registry).unwrap();
         assert_eq!(gen, Some(1));
         assert_eq!(registry.active().unwrap().0, weights(7));
+        // the store's install records the served identity: a follow-up
+        // sync of the same directory is a no-op
+        assert_eq!(registry.sync_store(&dir).unwrap(), Some(1));
+        assert_eq!(registry.generation(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

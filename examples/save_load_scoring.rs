@@ -1,11 +1,12 @@
 //! Fit-once / serve-many demo: fit the paper's pipeline on simulated ECG
-//! beats, snapshot it to disk, reload it in a fresh [`ModelRegistry`],
-//! hot-swap the active model mid-stream, and report how much restart
-//! time the snapshot saves over re-paying the LOOCV fit.
+//! beats, promote its snapshot into a [`ModelStore`], reload it in a
+//! fresh [`ModelRegistry`] that follows the store, hot-swap the active
+//! model mid-stream, roll it back, and report how much restart time the
+//! snapshot saves over re-paying the LOOCV fit.
 //!
 //! Run with: `cargo run --release --example save_load_scoring`
 
-use mfod::persist::ModelRegistry;
+use mfod::persist::{ModelRegistry, ModelStore};
 use mfod::prelude::*;
 use mfod::snapshot::PipelineSnapshot;
 use std::sync::Arc;
@@ -54,43 +55,47 @@ fn main() {
         fit_time.as_secs_f64() * 1e3
     );
 
-    // ---- snapshot to disk --------------------------------------------
+    // ---- promote into a model store ---------------------------------
     let dir = std::env::temp_dir().join(format!("mfod-save-load-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model-001.mfod");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
     let t_save = Instant::now();
-    fitted.save(&path).unwrap();
+    let e1 = store
+        .promote(&fitted.snapshot().unwrap(), 1, "trees-60")
+        .unwrap();
     let save_time = t_save.elapsed();
-    let size = std::fs::metadata(&path).unwrap().len();
     println!(
-        "snapshot: {} bytes written to {} in {:.2} ms",
-        size,
-        path.display(),
+        "snapshot: generation {} ({} bytes) promoted into {} in {:.2} ms",
+        e1.generation,
+        e1.len,
+        dir.display(),
         save_time.as_secs_f64() * 1e3
     );
 
     // ---- reload in a fresh registry (a "restarted serving box") ------
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
     let t_load = Instant::now();
-    let report = registry.load_dir(&dir).unwrap();
+    let served = registry.sync_store(&dir).unwrap();
     let load_time = t_load.elapsed();
-    let (winner, generation) = report.installed.expect("snapshot must load");
+    assert_eq!(served, Some(e1.generation), "snapshot must load");
     println!(
-        "registry: generation {generation} from {} in {:.2} ms \
+        "registry: store generation {} (registry generation {}) in {:.2} ms \
          (refit would cost {:.1} ms → {:.0}x restart speedup)",
-        winner.display(),
+        e1.generation,
+        registry.generation(),
         load_time.as_secs_f64() * 1e3,
         fit_time.as_secs_f64() * 1e3,
         fit_time.as_secs_f64() / load_time.as_secs_f64().max(1e-9)
     );
 
-    // ---- background watcher: polls are no-ops until a file changes ---
-    // `watch_dir` re-runs load_dir on an interval from its own thread;
-    // when nothing new landed, the sweep hash-matches the active bytes
-    // and skips the decode + restore + swap entirely, so hot-swap needs
-    // no operator call at all — just drop a file in the directory.
+    // ---- background watcher: polls are no-ops until the log moves ----
+    // `watch_store` re-runs sync_store on an interval from its own
+    // thread; while the deploy log's active generation is the one already
+    // served, a poll reads the log and returns without touching the
+    // snapshot, so hot-swap needs no call on the serving path at all —
+    // just promote (or roll back) through the store.
     let registry = Arc::new(registry);
-    let watcher = registry.watch_dir(&dir, std::time::Duration::from_millis(10));
+    let watcher = registry.watch_store(&dir, std::time::Duration::from_millis(10));
     let polls_before = watcher.polls();
     let deadline = Instant::now() + std::time::Duration::from_secs(30);
     while watcher.polls() < polls_before + 2 {
@@ -102,7 +107,7 @@ fn main() {
     }
     assert_eq!(registry.generation(), 1);
     println!(
-        "watcher: {} no-op polls, no new snapshot → generation still 1",
+        "watcher: {} no-op polls, nothing promoted → generation still 1",
         watcher.polls()
     );
 
@@ -113,7 +118,7 @@ fn main() {
     let in_flight = registry.active().unwrap();
     let first_half = in_flight.score(&test.samples()[..half]).unwrap();
 
-    // An operator drops a genuinely new generation in (a refit with a
+    // An operator promotes a genuinely new generation (a refit with a
     // smaller forest); the *watcher* notices and swaps it atomically —
     // the in-flight handle is untouched and nobody called the registry.
     let gen2 = GeomOutlierPipeline::new(
@@ -127,12 +132,13 @@ fn main() {
     .fit(train.samples())
     .unwrap();
     let snapshot: PipelineSnapshot = gen2.snapshot().unwrap();
-    mfod::persist::save(&snapshot, &dir.join("model-002.mfod")).unwrap();
+    let e2 = store.promote(&snapshot, 2, "trees-30").unwrap();
     let deadline = Instant::now() + std::time::Duration::from_secs(30);
     while registry.generation() < 2 {
         assert!(
             Instant::now() < deadline,
-            "watcher failed to install model-002 within 30s"
+            "watcher failed to install generation {} within 30s",
+            e2.generation
         );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
@@ -142,13 +148,42 @@ fn main() {
         registry.generation(),
         watcher.polls()
     );
+    let fresh = registry.active().unwrap().score(test.samples()).unwrap();
+    let auc_fresh = mfod::eval::auc(&fresh, test.labels()).unwrap();
+
+    // A rollback is one log append; the watcher follows it too, and the
+    // newer snapshot file still on disk never comes back on its own.
+    store.rollback(e1.generation).unwrap();
+    let deadline = Instant::now() + std::time::Duration::from_secs(30);
+    while registry.generation() < 3 {
+        assert!(
+            Instant::now() < deadline,
+            "watcher failed to follow the rollback within 30s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let polls = watcher.polls();
+    while watcher.polls() < polls + 2 {
+        assert!(
+            Instant::now() < deadline,
+            "watcher stopped polling within 30s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(registry.generation(), 3, "polls must keep the rollback");
+    let rolled_back = registry.active().unwrap().score(test.samples()).unwrap();
+    assert_bits_eq(&reference, &rolled_back, "rolled-back generation");
+    println!(
+        "rollback: store generation {} active again (registry generation {}), \
+         kept across {} more polls",
+        e1.generation,
+        registry.generation(),
+        watcher.polls() - polls
+    );
     watcher.stop();
 
     // The in-flight stream finishes on the generation it started with…
     let second_half = in_flight.score(&test.samples()[half..]).unwrap();
-    // …while fresh batches score on the new one.
-    let fresh = registry.active().unwrap().score(test.samples()).unwrap();
-    let auc_fresh = mfod::eval::auc(&fresh, test.labels()).unwrap();
 
     // ---- verify bit-exactness end to end -----------------------------
     let mut streamed = first_half;
@@ -161,7 +196,8 @@ fn main() {
     let auc = mfod::eval::auc(&streamed, test.labels()).unwrap();
     println!(
         "verified: {} test scores bit-identical to the in-memory fit across \
-         save → reload → hot-swap (in-flight AUC {auc:.3}, new generation AUC {auc_fresh:.3})",
+         promote → reload → hot-swap → rollback (in-flight AUC {auc:.3}, \
+         new generation AUC {auc_fresh:.3})",
         streamed.len()
     );
 

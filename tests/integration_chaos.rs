@@ -2,26 +2,26 @@
 //!
 //! Each schedule arms a deterministic `mfod-faultline` plan covering every
 //! subsystem (persist reads, torn writes, mmap failures, CRC corruption,
-//! registry sweeps, stream flushes/delays/poison, pool panics/stragglers)
+//! registry syncs, stream flushes/delays/poison, pool panics/stragglers)
 //! and then drives a full serving session against it. Acceptance, per
 //! schedule:
 //!
 //! * **zero panics** escape — every injected failure surfaces as a typed
 //!   error (the test completing is the proof);
-//! * the **active model is never unseated** by torn writes or failing
-//!   sweeps — generation and identity are stable while faults fly;
+//! * the **active model is never unseated** by a torn promotion or
+//!   failing syncs — generation and identity are stable while faults fly;
 //! * once the capped stream/pool fault rules are exhausted, a clean
 //!   session scores **bit-identically** to a no-faults reference (a
 //!   straggler-only fault that stays armed must not change results);
 //! * after the plan is disarmed the registry **heals**: a valid new
-//!   generation installs and the watcher returns to its steady state.
+//!   promotion installs and the watcher returns to its steady state.
 //!
 //! Runs 3 schedules by default; `MFOD_CHAOS_FULL=1` runs 12. With
 //! `MFOD_CHAOS_JSON=<path>` a JSON report artifact (per-schedule error
 //! counts plus the faultline hit/fire report) is written at the end.
 
 use mfod::fda::RawSample;
-use mfod::persist::{ModelRegistry, WatchConfig};
+use mfod::persist::{generation_file, ModelRegistry, ModelStore, PersistError, WatchConfig};
 use mfod::FittedPipeline;
 use mfod_faultline::{points, FaultPlan, FaultRule};
 use mfod_fixtures::{sine_pipeline, FixtureConfig};
@@ -37,10 +37,8 @@ fn fixture() -> &'static (Arc<FittedPipeline>, Vec<RawSample>, Vec<f64>) {
     FIXTURE.get_or_init(|| sine_pipeline(&FixtureConfig::default()))
 }
 
-/// A second, differently-configured model for the post-fault upgrade.
-/// `fixture()` saved twice produces byte-identical snapshots, which the
-/// registry's content hash would (correctly) treat as "unchanged" — the
-/// heal phase needs a snapshot with genuinely new content to install.
+/// A second, differently-configured model for the post-fault upgrade, so
+/// the heal phase installs genuinely new content.
 fn upgrade_fixture() -> &'static Arc<FittedPipeline> {
     static UPGRADE: OnceLock<Arc<FittedPipeline>> = OnceLock::new();
     UPGRADE.get_or_init(|| {
@@ -105,14 +103,17 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
     let dir = tmpdir(&format!("s{seed}"));
 
     // Generation 1 installs cleanly before any fault is armed.
-    fitted.save(&dir.join("model-001.mfod")).unwrap();
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    store
+        .promote(&fitted.snapshot().unwrap(), 0, "gen-1")
+        .unwrap();
     let registry: Arc<ModelRegistry<FittedPipeline>> = Arc::new(ModelRegistry::new());
-    registry.load_dir(&dir).unwrap();
+    registry.sync_store(&dir).unwrap();
     let gen0 = registry.generation();
     let active0 = registry.active().unwrap();
     let mut watch_config = WatchConfig::new(Duration::from_millis(2));
     watch_config.jitter_seed = seed;
-    let handle = registry.watch_dir_with(&dir, watch_config);
+    let handle = registry.watch_store_with(&dir, watch_config);
 
     // Arm the full-spectrum plan. Stream/pool rules are capped so the
     // dirty session can exhaust them; persist rules are probabilistic but
@@ -149,15 +150,37 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
             ),
     );
 
-    // A model upgrade lands on the torn-write fault: the save fails with
-    // a typed error and leaves a truncated file for the watcher to chew
-    // on. It must never unseat the active generation.
-    let torn = fitted.save(&dir.join("model-002.mfod"));
+    // A model upgrade lands on the torn-write fault: the promotion fails
+    // with a typed error, leaves a truncated file in the store directory
+    // and commits nothing, so the watcher never sees it. An injected CRC
+    // fault may reject the bytes before they reach the disk (also typed,
+    // also no commit); retry until the torn write itself surfaces.
+    let torn = loop {
+        let attempt = store.promote(&fitted.snapshot().unwrap(), 0, "gen-2");
+        if !matches!(attempt, Err(PersistError::ChecksumMismatch { .. })) {
+            break attempt;
+        }
+        assert_eq!(store.active_generation(), Some(1), "seed {seed}");
+    };
     assert!(torn.is_err(), "torn write must surface as an error");
     assert!(
-        dir.join("model-002.mfod").exists(),
-        "the torn file must be on disk for sweeps to reject"
+        dir.join(generation_file(2)).exists(),
+        "the torn file must be on disk for the watcher to ignore"
     );
+    assert_eq!(
+        store.active_generation(),
+        Some(1),
+        "seed {seed}: a failed promotion commits nothing"
+    );
+
+    // A cold replica installs the active generation while read, mmap and
+    // CRC faults fly: each attempt serves generation 1 or fails typed.
+    let replica: ModelRegistry<FittedPipeline> = ModelRegistry::new();
+    for _ in 0..4 {
+        if let Ok(served) = store.install_active(&replica) {
+            assert_eq!(served, Some(1), "seed {seed}");
+        }
+    }
 
     // Dirty session: deadline-bounded scoring against the active model
     // while every fault fires. Everything lands as a typed error.
@@ -274,10 +297,12 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
         );
     }
 
-    // Disarm and heal: a valid new generation installs and the watcher
+    // Disarm and heal: a valid new promotion installs and the watcher
     // settles back to its steady state.
     let fault_report = mfod_faultline::disarm().unwrap();
-    upgrade_fixture().save(&dir.join("model-003.mfod")).unwrap();
+    store
+        .promote(&upgrade_fixture().snapshot().unwrap(), 1, "upgrade")
+        .unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let health = handle.health();
@@ -295,11 +320,11 @@ fn run_schedule(seed: u64) -> ScheduleOutcome {
     if fault_report.fires(points::REGISTRY_SWEEP) > 0 {
         assert!(
             health.recoveries >= 1,
-            "seed {seed}: failing sweeps must be followed by a recovery"
+            "seed {seed}: failing syncs must be followed by a recovery"
         );
         assert!(
             health.last_error.is_some(),
-            "seed {seed}: the last sweep error is retained for post-mortems"
+            "seed {seed}: the last sync error is retained for post-mortems"
         );
     }
     handle.stop();

@@ -18,6 +18,9 @@
 //! * the served model scores the fixture windows **bit-identically** to
 //!   a deterministic refit of the tagged variant — recovery hands back
 //!   real model content, not merely a plausible file;
+//! * a fresh registry following the recovered log (`sync_store`) serves
+//!   the same generation as `install_active`, with bit-identical scores —
+//!   including schedules where recovery fell back and logged a rollback;
 //! * `fsck` on the recovered directory is clean, and the store accepts
 //!   a fresh promotion afterwards (it healed, not just limped);
 //! * recovery is idempotent: a second open changes nothing.
@@ -27,7 +30,7 @@
 //! embedding each killed child's `FaultReport` (hit/fire counts per
 //! crash point) harvested via the `MFOD_FAULT_REPORT` handshake.
 
-use mfod::persist::{ModelStore, QuarantineReason};
+use mfod::persist::{ModelRegistry, ModelStore, QuarantineReason};
 use mfod::FittedPipeline;
 use mfod_faultline::{points, FaultPlan, FaultRule};
 use mfod_fixtures::{sine_pipeline, FixtureConfig};
@@ -308,21 +311,46 @@ fn run_schedule(index: u64) -> ScheduleOutcome {
         fsck.issues
     );
 
-    // Bit-identical serving: the recovered model must score exactly like
-    // a deterministic refit of the variant its manifest entry tags.
+    // The log agrees with the store: a fresh follower of the recovered
+    // log serves the generation `install_active` does.
+    let installed: ModelRegistry<FittedPipeline> = ModelRegistry::new();
+    let followed: ModelRegistry<FittedPipeline> = ModelRegistry::new();
+    assert_eq!(store.install_active(&installed).unwrap(), active);
+    assert_eq!(
+        followed.sync_store(&dir).unwrap(),
+        active,
+        "seed {seed} @ {point}: the log-following registry disagrees with the store (fell_back {})",
+        recovery.fell_back
+    );
+
+    // Bit-identical serving: the recovered model — loaded from its file,
+    // installed by the store and synced from the log — must score exactly
+    // like a deterministic refit of the variant its manifest entry tags.
     if let Some(generation) = active {
         let entry = store.manifest().entry(generation).unwrap().clone();
         let loaded = FittedPipeline::load(&store.generation_path(generation).unwrap()).unwrap();
         let (fitted, windows, _) = refit(variant_from_tag(&entry.tag));
-        let got = loaded.score(windows).unwrap();
         let want = fitted.score(windows).unwrap();
-        assert_eq!(got.len(), want.len(), "seed {seed} @ {point}");
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                w.to_bits(),
-                "seed {seed} @ {point}: recovered model drifted from refit at row {i}"
-            );
+        let served = [
+            ("loaded", loaded.score(windows).unwrap()),
+            (
+                "installed",
+                installed.active().unwrap().score(windows).unwrap(),
+            ),
+            (
+                "followed",
+                followed.active().unwrap().score(windows).unwrap(),
+            ),
+        ];
+        for (how, got) in &served {
+            assert_eq!(got.len(), want.len(), "seed {seed} @ {point}: {how}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "seed {seed} @ {point}: {how} model drifted from refit at row {i}"
+                );
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 //! the frozen serving path — and malformed snapshot bytes must fail with
 //! typed errors, never a panic.
 
-use mfod::persist::{ModelRegistry, PersistError};
+use mfod::persist::{ModelRegistry, ModelStore, PersistError};
 use mfod::prelude::*;
+use mfod::snapshot::{FrozenScorerSnapshot, PipelineSnapshot};
 use mfod_fixtures::{ecg_fitted, ecg_split};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -90,15 +91,24 @@ fn registry_hot_swaps_pipelines_under_scoring_traffic() {
     )
     .fit(train.samples())
     .unwrap();
-    gen1.save(&dir.join("model-001.mfod")).unwrap();
-    gen2.save(&dir.join("model-002.mfod")).unwrap();
+    let (mut store, _) = ModelStore::open(&dir).unwrap();
+    let e1 = store
+        .promote(&gen1.snapshot().unwrap(), 1, "baseline")
+        .unwrap();
+    let e2 = store
+        .promote(&gen2.snapshot().unwrap(), 2, "wider-forest")
+        .unwrap();
+    // roll back to generation 1, then forward again: the newest file on
+    // disk is not what decides, the log's active generation is
+    store.rollback(e1.generation).unwrap();
+    store.rollback(e2.generation).unwrap();
 
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
-    let report = registry.load_dir(&dir).unwrap();
-    assert_eq!(report.considered, 2);
-    assert!(report.rejected.is_empty(), "{:?}", report.rejected);
-    let (winner, _) = report.installed.as_ref().unwrap();
-    assert!(winner.ends_with("model-002.mfod"), "newest must win");
+    assert_eq!(
+        registry.sync_store(&dir).unwrap(),
+        Some(e2.generation),
+        "the active generation wins"
+    );
 
     // live traffic: a batch in flight keeps its generation while a swap
     // lands, and the next batch sees the new one
@@ -109,7 +119,8 @@ fn registry_hot_swaps_pipelines_under_scoring_traffic() {
         &gen2.score(test.samples()).unwrap(),
         "active generation",
     );
-    registry.load_file(&dir.join("model-001.mfod")).unwrap();
+    store.rollback(e1.generation).unwrap();
+    assert_eq!(registry.sync_store(&dir).unwrap(), Some(e1.generation));
     let in_flight = active.score(test.samples()).unwrap();
     assert_bits_eq(&before, &in_flight, "in-flight batch after swap");
     let after = registry.active().unwrap().score(test.samples()).unwrap();
@@ -118,6 +129,12 @@ fn registry_hot_swaps_pipelines_under_scoring_traffic() {
         &gen1.score(test.samples()).unwrap(),
         "post-swap generation",
     );
+    // polls after the rollback keep serving generation 1
+    let generation = registry.generation();
+    for _ in 0..3 {
+        assert_eq!(registry.sync_store(&dir).unwrap(), Some(e1.generation));
+    }
+    assert_eq!(registry.generation(), generation);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -127,7 +144,12 @@ fn mapped_install_hot_swaps_bit_identically_across_paths() {
     let (train, test) = ecg_split();
     let gen1 = ecg_fitted(&train);
     gen1.save(&dir.join("model-001.mfod")).unwrap();
-    let eager = FittedPipeline::load(&dir.join("model-001.mfod")).unwrap();
+    let eager = mfod::persist::from_bytes::<PipelineSnapshot>(
+        &std::fs::read(dir.join("model-001.mfod")).unwrap(),
+    )
+    .unwrap()
+    .restore()
+    .unwrap();
 
     // mmap-install into the registry (zero-copy decode tier)
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
@@ -168,7 +190,17 @@ fn mapped_install_hot_swaps_bit_identically_across_paths() {
     );
     let fpath = dir.join("frozen.mfod");
     frozen_mem.save(&fpath).unwrap();
-    let frozen_mapped = FrozenScorer::load_mapped(&fpath).unwrap();
+    let frozen_eager =
+        mfod::persist::from_bytes::<FrozenScorerSnapshot>(&std::fs::read(&fpath).unwrap())
+            .unwrap()
+            .restore()
+            .unwrap();
+    assert_bits_eq(
+        &fwant,
+        &frozen_eager.score(test.samples()).unwrap(),
+        "eager frozen reload",
+    );
+    let frozen_mapped = FrozenScorer::load(&fpath).unwrap();
     assert_bits_eq(
         &fwant,
         &frozen_mapped.score(test.samples()).unwrap(),
@@ -294,7 +326,7 @@ fn calibrator_snapshots_ride_the_same_format() {
 
 #[test]
 fn store_rollback_re_points_serving_under_in_flight_traffic() {
-    use mfod::persist::{FsckIssue, ModelStore};
+    use mfod::persist::FsckIssue;
     let dir = tmpdir("store-rollback");
     let (train, test) = ecg_split();
     let gen1 = ecg_fitted(&train);
