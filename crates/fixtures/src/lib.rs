@@ -11,11 +11,7 @@
 //!   simulated-ECG acceptance split ([`ecg_split`]/[`ecg_fitted`]).
 //!   These moved here from `mfod-stream`'s former `fixtures` cargo
 //!   feature, which this crate replaces.
-//! * [`persist`] — synthetic persist-layer fixtures: large multi-section
-//!   "tenant fleet" snapshots for exercising the eager vs lazy decode
-//!   tiers at controllable scale.
 
-pub mod persist;
 mod pipeline;
 
 pub use pipeline::{ecg_fitted, ecg_split, sine_pipeline, FixtureConfig};

@@ -243,10 +243,11 @@ impl FittedPipeline {
     /// Loads a pipeline saved with [`FittedPipeline::save`], re-running
     /// all restore validation. The result scores bit-identically to the
     /// pipeline that was saved. The file is memory-mapped
-    /// ([`mfod_persist::load`]): large matrix payloads (detector weights,
-    /// smoothing systems) are served zero-copy out of the mapping, and
-    /// the restored pipeline owns the keep-alive handles, so the mapping
-    /// lives exactly as long as the pipeline's views into it.
+    /// ([`mfod_persist::load`]): matrix payloads whose `f64` run lands
+    /// 8-aligned in the file are served zero-copy out of the mapping
+    /// (the rest are copied, with identical bits), and the restored
+    /// pipeline owns the keep-alive handles, so the mapping lives exactly
+    /// as long as the pipeline's views into it.
     pub fn load(path: &Path) -> Result<FittedPipeline> {
         mfod_persist::load::<PipelineSnapshot>(path)?.restore()
     }
@@ -321,7 +322,7 @@ impl FrozenScorer {
     }
 
     /// Loads a scorer saved with [`FrozenScorer::save`] through the
-    /// mapped zero-copy path; see [`FittedPipeline::load`].
+    /// mapped path; see [`FittedPipeline::load`].
     pub fn load(path: &Path) -> Result<FrozenScorer> {
         mfod_persist::load::<FrozenScorerSnapshot>(path)?.restore()
     }
@@ -538,8 +539,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mfod-snap-map-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let data = ecg(12, 3, 21);
-        // OcSvm carries a support-vector `Matrix`, so this restore exercises
-        // the zero-copy decode path over the mapped file.
+        // OcSvm carries a support-vector `Matrix`, so this restore runs the
+        // owner-aware matrix decode over the mapped file.
         let pipeline = GeomOutlierPipeline::new(
             PipelineConfig::fast(),
             Arc::new(Curvature),
@@ -549,7 +550,7 @@ mod tests {
         .unwrap();
         let path = dir.join("pipeline.mfod");
         pipeline.save(&path).unwrap();
-        let eager = mfod_persist::from_bytes::<PipelineSnapshot>(&std::fs::read(&path).unwrap())
+        let owned = mfod_persist::from_bytes::<PipelineSnapshot>(&std::fs::read(&path).unwrap())
             .unwrap()
             .restore()
             .unwrap();
@@ -558,16 +559,16 @@ mod tests {
         // the file (and its directory) must not invalidate borrowed state.
         std::fs::remove_dir_all(&dir).unwrap();
         let a = pipeline.score(data.samples()).unwrap();
-        let b = eager.score(data.samples()).unwrap();
+        let b = owned.score(data.samples()).unwrap();
         let c = mapped.score(data.samples()).unwrap();
-        assert_bits_eq(&a, &b, "eager load");
+        assert_bits_eq(&a, &b, "owned load");
         assert_bits_eq(&a, &c, "mapped load");
         assert_bits_eq(
             &pipeline.par_score(data.samples()).unwrap(),
             &mapped.par_score(data.samples()).unwrap(),
             "mapped parallel",
         );
-        // wrong-kind rejection is identical across tiers
+        // wrong-kind rejection is identical on owned and mapped bytes
         let fs_path = std::env::temp_dir().join(format!("mfod-snap-map2-{}", std::process::id()));
         std::fs::create_dir_all(&fs_path).unwrap();
         let p2 = fs_path.join("pipeline.mfod");

@@ -354,22 +354,9 @@ pub fn prometheus_text(s: &MetricsSnapshot) -> String {
 
     counter(
         &mut o,
-        "mfod_persist_sections_eager_total",
-        "Sections decoded through the eager tier.",
-        s.persist.sections_eager,
-    );
-    counter(
-        &mut o,
-        "mfod_persist_sections_lazy_total",
-        "Sections decoded lazily on first touch.",
-        s.persist.sections_lazy,
-    );
-    histogram(
-        &mut o,
-        "mfod_persist_first_touch_ns",
-        "Lazy first-touch section decode time (ns).",
-        "",
-        &s.persist.first_touch,
+        "mfod_persist_sections_decoded_total",
+        "Snapshot sections decoded, from owned or mapped bytes.",
+        s.persist.sections_decoded,
     );
     gauge_u64(
         &mut o,

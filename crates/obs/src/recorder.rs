@@ -88,13 +88,9 @@ pub struct Metrics {
     /// validate + decode + swap, excluding file discovery).
     pub registry_install_time: Histogram,
 
-    // -- Snapshot decode tiers (mfod_persist) -------------------------
-    /// Sections decoded through the eager owned tier.
-    pub persist_sections_eager: Counter,
-    /// Sections decoded lazily on first touch.
-    pub persist_sections_lazy: Counter,
-    /// Nanoseconds per lazy first-touch section decode.
-    pub persist_first_touch: Histogram,
+    // -- Snapshot decode (mfod_persist) --------------------------------
+    /// Snapshot sections handed to a decoder (owned and mapped bytes).
+    pub persist_sections_decoded: Counter,
     /// Bytes currently memory-mapped (or owner-pinned) by snapshot
     /// buffers: `add` on map, `sub` on release.
     pub persist_mapped_bytes: Gauge,
@@ -177,9 +173,7 @@ impl Metrics {
             registry_unchanged: Counter::new(),
             registry_sweep_time: Histogram::new(),
             registry_install_time: Histogram::new(),
-            persist_sections_eager: Counter::new(),
-            persist_sections_lazy: Counter::new(),
-            persist_first_touch: Histogram::new(),
+            persist_sections_decoded: Counter::new(),
             persist_mapped_bytes: Gauge::new(),
             errors_total: Counter::new(),
             sheds_total: Counter::new(),
@@ -226,9 +220,7 @@ impl Metrics {
         self.registry_unchanged.reset();
         self.registry_sweep_time.reset();
         self.registry_install_time.reset();
-        self.persist_sections_eager.reset();
-        self.persist_sections_lazy.reset();
-        self.persist_first_touch.reset();
+        self.persist_sections_decoded.reset();
         self.persist_mapped_bytes.reset();
         self.errors_total.reset();
         self.sheds_total.reset();
@@ -465,22 +457,11 @@ pub struct RegistrySnapshot {
     pub install_time: HistogramSnapshot,
 }
 
-/// Snapshot-decode-tier snapshot (`mfod-persist`).
+/// Snapshot-decode snapshot (`mfod-persist`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PersistSnapshot {
-    pub sections_eager: u64,
-    pub sections_lazy: u64,
-    pub first_touch: HistogramSnapshot,
+    pub sections_decoded: u64,
     pub mapped_bytes: u64,
-}
-
-impl PersistSnapshot {
-    /// Share of section decodes deferred to first touch (`None` until a
-    /// section was decoded through either tier).
-    pub fn lazy_share(&self) -> Option<f64> {
-        let total = self.sections_eager + self.sections_lazy;
-        (total > 0).then(|| self.sections_lazy as f64 / total as f64)
-    }
 }
 
 /// Failure-semantics snapshot: the graceful-degradation counters and the
@@ -587,9 +568,7 @@ impl MetricsSnapshot {
                 install_time: m.registry_install_time.snapshot(),
             },
             persist: PersistSnapshot {
-                sections_eager: m.persist_sections_eager.get(),
-                sections_lazy: m.persist_sections_lazy.get(),
-                first_touch: m.persist_first_touch.snapshot(),
+                sections_decoded: m.persist_sections_decoded.get(),
                 mapped_bytes: m.persist_mapped_bytes.get(),
             },
             failures: FailureSnapshot {
@@ -704,15 +683,10 @@ impl MetricsSnapshot {
                     .diff(&earlier.registry.install_time),
             },
             persist: PersistSnapshot {
-                sections_eager: self
+                sections_decoded: self
                     .persist
-                    .sections_eager
-                    .saturating_sub(earlier.persist.sections_eager),
-                sections_lazy: self
-                    .persist
-                    .sections_lazy
-                    .saturating_sub(earlier.persist.sections_lazy),
-                first_touch: self.persist.first_touch.diff(&earlier.persist.first_touch),
+                    .sections_decoded
+                    .saturating_sub(earlier.persist.sections_decoded),
                 // a level, not a rate: keep the later reading
                 mapped_bytes: self.persist.mapped_bytes,
             },
@@ -797,13 +771,11 @@ impl MetricsSnapshot {
         out.push_str("},\n  \"persist\": {");
         push_u64(
             &mut out,
-            "sections_eager",
-            self.persist.sections_eager,
+            "sections_decoded",
+            self.persist.sections_decoded,
             true,
         );
-        push_u64(&mut out, "sections_lazy", self.persist.sections_lazy, false);
         push_u64(&mut out, "mapped_bytes", self.persist.mapped_bytes, false);
-        push_hist(&mut out, "first_touch_ns", &self.persist.first_touch);
         out.push_str("},\n  \"failures\": {");
         push_u64(&mut out, "errors_total", self.failures.errors, true);
         push_u64(&mut out, "sheds_total", self.failures.sheds, false);
@@ -902,16 +874,11 @@ impl MetricsSnapshot {
         hist_line(&mut r, "  install   ", &g.install_time);
 
         let pe = &self.persist;
-        let share = pe
-            .lazy_share()
-            .map(|s| format!("{:.1}%", 100.0 * s))
-            .unwrap_or_else(|| "n/a".into());
         let _ = writeln!(
             r,
-            "persist    sections: {} eager / {} lazy ({share} lazy) · {} bytes mapped",
-            pe.sections_eager, pe.sections_lazy, pe.mapped_bytes
+            "persist    sections: {} decoded · {} bytes mapped",
+            pe.sections_decoded, pe.mapped_bytes
         );
-        hist_line(&mut r, "  1st touch ", &pe.first_touch);
 
         let f = &self.failures;
         let _ = writeln!(
@@ -1143,10 +1110,8 @@ mod tests {
         m.pool_chunks_queued.add(8);
         m.stream_batch_score.record(2_000_000);
         m.registry_generation.set(3);
-        m.persist_sections_lazy.add(2);
-        m.persist_sections_eager.add(6);
+        m.persist_sections_decoded.add(6);
         m.persist_mapped_bytes.add(4_096);
-        m.persist_first_touch.record(10_000);
         m.registry_install_time.record(5_000_000);
         m.errors_total.add(5);
         m.sheds_total.add(2);
@@ -1169,10 +1134,9 @@ mod tests {
             "\"phases\"",
             "\"caller_steals\": 4",
             "\"generation\": 3",
-            "\"sections_lazy\": 2",
+            "\"sections_decoded\": 6",
             "\"mapped_bytes\": 4096",
             "\"install_ns\"",
-            "\"first_touch_ns\"",
             "\"failures\"",
             "\"errors_total\": 5",
             "\"sheds_total\": 2",
@@ -1206,7 +1170,7 @@ mod tests {
             "stream",
             "batch lat",
             "registry   generation 3",
-            "persist    sections: 6 eager / 2 lazy (25.0% lazy) · 4096 bytes mapped",
+            "persist    sections: 6 decoded · 4096 bytes mapped",
             "failures   5 errors · 2 sheds · 1 deadline misses · 1 quarantined · backoff level 3",
             "store      7 promotions · 2 recoveries · 1 rollbacks · 3 quarantined · 4 fsck issues",
             "rejected/min",

@@ -19,9 +19,18 @@
 //! against the payload bounds before any section is handed to a decoder.
 //! Table offsets are authoritative, so the inter-section alignment gaps
 //! are invisible to readers (they are covered by the CRC); they exist so
-//! `f64` runs inside a mapped file land 8-byte aligned and the zero-copy
-//! decode tier ([`LazySnapshot`], [`from_shared`]) can serve matrix
-//! payloads in place.
+//! `f64` runs inside a mapped file land 8-byte aligned and [`from_shared`]
+//! can serve matrix payloads in place.
+//!
+//! ## Reading
+//!
+//! [`SnapshotReader`] is the one reader. It validates magic, version, CRC
+//! and section bounds when it is opened, over borrowed bytes
+//! ([`SnapshotReader::parse`], behind [`from_bytes`]) or over owner-pinned
+//! bytes ([`SnapshotReader::parse_shared`], behind [`from_shared`] and
+//! [`load`]). Both entry points then decode the `SECTION_BODY` section
+//! through the same helper; only the owner differs, and with an owner the
+//! section decoders hand out zero-copy views of 8-aligned `Matrix` runs.
 //!
 //! ## Versioning policy
 //!
@@ -37,9 +46,7 @@ use crate::error::PersistError;
 use crate::map::SharedBytes;
 use crate::wire::{Decode, Decoder, Encode, Encoder};
 use crate::Result;
-use std::any::Any;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
 /// Snapshot file magic.
 pub const MAGIC: [u8; 4] = *b"MFOD";
@@ -254,8 +261,8 @@ impl SnapshotWriter {
     ///
     /// Each section body is padded to start at a **file offset that is a
     /// multiple of 8**, so that `f64` runs inside a section land 8-byte
-    /// aligned in a mapped file and the zero-copy decode tier can serve
-    /// them in place. The padding is deterministic zero bytes living in
+    /// aligned in a mapped file and [`from_shared`] can serve them in
+    /// place. The padding is deterministic zero bytes living in
     /// the gaps *between* table-addressed sections — readers never see it
     /// (table offsets are authoritative), the CRC covers it, and files
     /// remain readable by any [`FORMAT_VERSION`] 1 reader, so this is
@@ -292,17 +299,33 @@ impl SnapshotWriter {
 
 /// Parsed view over a snapshot byte buffer with the header, CRC and
 /// section bounds already validated.
+///
+/// Opened over a [`SharedBytes`] owner ([`SnapshotReader::parse_shared`],
+/// typically a mapped file), section decoders are owner-aware, so
+/// 8-aligned `Matrix` payloads decode as zero-copy views that pin the
+/// owner.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     kind: u32,
     version: u32,
     /// `(id, body)` in file order.
     sections: Vec<(u32, &'a [u8])>,
+    owner: Option<&'a SharedBytes>,
 }
 
 impl<'a> SnapshotReader<'a> {
     /// Validates magic, version, CRC and section bounds.
     pub fn parse(bytes: &'a [u8]) -> Result<Self> {
+        Self::open(bytes, None)
+    }
+
+    /// [`SnapshotReader::parse`] over owner-pinned bytes: the same
+    /// validation, with owner-aware section decoders.
+    pub fn parse_shared(shared: &'a SharedBytes) -> Result<Self> {
+        Self::open(shared.as_slice(), Some(shared))
+    }
+
+    fn open(bytes: &'a [u8], owner: Option<&'a SharedBytes>) -> Result<Self> {
         // trailer first: without an intact CRC nothing else is trusted
         if bytes.len() < MAGIC.len() + 4 {
             return Err(PersistError::Truncated {
@@ -370,6 +393,7 @@ impl<'a> SnapshotReader<'a> {
             kind,
             version,
             sections,
+            owner,
         })
     }
 
@@ -388,166 +412,21 @@ impl<'a> SnapshotReader<'a> {
         self.sections.iter().map(|&(id, _)| id).collect()
     }
 
-    /// Decoder over a required section's body.
+    /// Decoder over a required section's body — owner-aware (zero-copy
+    /// capable) when the reader was opened over [`SharedBytes`].
     pub fn section(&self, id: u32) -> Result<Decoder<'a>> {
-        self.sections
-            .iter()
-            .find(|&&(sid, _)| sid == id)
-            .map(|&(_, body)| {
-                if let Some(m) = mfod_obs::active() {
-                    m.persist_sections_eager.add(1);
-                }
-                Decoder::new(body)
-            })
-            .ok_or(PersistError::MissingSection { id })
-    }
-}
-
-/// A validated-once, decode-on-touch view over a snapshot container.
-///
-/// Opening validates magic, version, section-table bounds and the CRC
-/// **once** over the whole byte slice — O(file) for the checksum scan
-/// and nothing else — and after that no decoding happens until a section
-/// is touched. This is the integrity contract of the lazy tier: a
-/// tampered section that is *never* touched is still rejected up front
-/// by the CRC gate, and a touched one fails with the same typed error
-/// the eager path produces (decode failures are never cached — every
-/// touch of a corrupt section re-fails identically).
-///
-/// Opened over a [`SharedBytes`] owner ([`LazySnapshot::open_shared`],
-/// typically a mapped file), section decoders are owner-aware, so
-/// `Matrix` payloads decode as zero-copy views into the map;
-/// [`LazySnapshot::shared_section`] additionally hands out owner-pinned
-/// section bytes for `'static` consumers ([`crate::map::LazySection`]).
-///
-/// [`LazySnapshot::section_value`] memoizes successful decodes, so
-/// repeated touches of one section pay the decode once.
-#[derive(Debug)]
-pub struct LazySnapshot<'a> {
-    reader: SnapshotReader<'a>,
-    shared: Option<&'a SharedBytes>,
-    base: usize,
-    cells: Vec<OnceLock<Box<dyn Any + Send + Sync>>>,
-}
-
-impl<'a> LazySnapshot<'a> {
-    /// Opens a container over caller-held bytes (CRC, magic, version and
-    /// table validated now; sections decoded on touch).
-    pub fn open(bytes: &'a [u8]) -> Result<Self> {
-        let reader = SnapshotReader::parse(bytes)?;
-        let cells = (0..reader.sections.len())
-            .map(|_| OnceLock::new())
-            .collect();
-        Ok(LazySnapshot {
-            reader,
-            shared: None,
-            base: bytes.as_ptr() as usize,
-            cells,
-        })
-    }
-
-    /// Opens a container over owner-pinned bytes (a mapped snapshot
-    /// file): same validation as [`LazySnapshot::open`], plus the
-    /// zero-copy decode tier for every section.
-    pub fn open_shared(shared: &'a SharedBytes) -> Result<Self> {
-        let reader = SnapshotReader::parse(shared.as_slice())?;
-        let cells = (0..reader.sections.len())
-            .map(|_| OnceLock::new())
-            .collect();
-        Ok(LazySnapshot {
-            reader,
-            shared: Some(shared),
-            base: shared.as_slice().as_ptr() as usize,
-            cells,
-        })
-    }
-
-    /// Artifact kind from the header.
-    pub fn kind(&self) -> u32 {
-        self.reader.kind()
-    }
-
-    /// Container version the file was written with.
-    pub fn version(&self) -> u32 {
-        self.reader.version()
-    }
-
-    /// Ids of every section present, in file order.
-    pub fn section_ids(&self) -> Vec<u32> {
-        self.reader.section_ids()
-    }
-
-    /// Whether a section with this id is present.
-    pub fn has_section(&self, id: u32) -> bool {
-        self.reader.sections.iter().any(|&(sid, _)| sid == id)
-    }
-
-    fn find(&self, id: u32) -> Result<(usize, &'a [u8])> {
-        self.reader
+        let &(_, body) = self
             .sections
             .iter()
-            .position(|&(sid, _)| sid == id)
-            .map(|idx| (idx, self.reader.sections[idx].1))
-            .ok_or(PersistError::MissingSection { id })
-    }
-
-    /// A required section's raw bytes.
-    pub fn section_bytes(&self, id: u32) -> Result<&'a [u8]> {
-        Ok(self.find(id)?.1)
-    }
-
-    /// Decoder over a required section's body — owner-aware (zero-copy
-    /// capable) when the container was opened over [`SharedBytes`].
-    pub fn section(&self, id: u32) -> Result<Decoder<'a>> {
-        let (_, body) = self.find(id)?;
-        Ok(match self.shared {
+            .find(|&&(sid, _)| sid == id)
+            .ok_or(PersistError::MissingSection { id })?;
+        if let Some(m) = mfod_obs::active() {
+            m.persist_sections_decoded.add(1);
+        }
+        Ok(match self.owner {
             Some(owner) => Decoder::with_owner(body, owner),
             None => Decoder::new(body),
         })
-    }
-
-    /// A required section's bytes as an owner-pinned [`SharedBytes`]
-    /// sub-view — the handle to hand to [`crate::map::LazySection`] for
-    /// `'static` first-touch decoding. Requires the container to have
-    /// been opened via [`LazySnapshot::open_shared`].
-    pub fn shared_section(&self, id: u32) -> Result<SharedBytes> {
-        let (_, body) = self.find(id)?;
-        let owner = self.shared.ok_or_else(|| {
-            PersistError::Malformed("shared_section on a container opened without an owner".into())
-        })?;
-        let start = body.as_ptr() as usize - self.base;
-        Ok(owner.slice(start..start + body.len()))
-    }
-
-    /// Decodes a required section on first touch and memoizes the
-    /// result; later calls return the cached value without re-decoding.
-    /// Only successes are cached: a corrupt section fails with the same
-    /// typed error on every touch, exactly like the eager path.
-    ///
-    /// The decoder must consume the section exactly (trailing bytes are
-    /// corruption). Requesting the same section as two different types
-    /// is a caller bug and reported as [`PersistError::Malformed`].
-    pub fn section_value<T: Decode + Send + Sync + 'static>(&self, id: u32) -> Result<&T> {
-        let (idx, _) = self.find(id)?;
-        if self.cells[idx].get().is_none() {
-            let started = mfod_obs::active().map(|_| std::time::Instant::now());
-            let mut dec = self.section(id)?;
-            let value = T::decode(&mut dec)?;
-            dec.finish()?;
-            if let (Some(m), Some(t)) = (mfod_obs::active(), started) {
-                m.persist_sections_lazy.add(1);
-                m.persist_first_touch.record(t.elapsed().as_nanos() as u64);
-            }
-            // under a concurrent first touch, the winner's value is kept
-            let _ = self.cells[idx].set(Box::new(value));
-        }
-        self.cells[idx]
-            .get()
-            .expect("cell initialized above")
-            .downcast_ref::<T>()
-            .ok_or_else(|| {
-                PersistError::Malformed(format!("section {id} touched as two different types"))
-            })
     }
 }
 
@@ -558,10 +437,10 @@ pub fn to_bytes<T: Snapshot>(value: &T) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a [`to_bytes`]-shaped snapshot, validating container
-/// integrity, artifact kind and exact body consumption.
-pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T> {
-    let reader = SnapshotReader::parse(bytes)?;
+/// The body decode shared by [`from_bytes`] and [`from_shared`]: checks
+/// the artifact kind, decodes [`SECTION_BODY`] and requires it consumed
+/// exactly.
+fn decode_body<T: Snapshot>(reader: &SnapshotReader<'_>) -> Result<T> {
     if reader.kind() != T::KIND {
         return Err(PersistError::WrongKind {
             got: reader.kind(),
@@ -574,6 +453,12 @@ pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T> {
     Ok(value)
 }
 
+/// Decodes a [`to_bytes`]-shaped snapshot, validating container
+/// integrity, artifact kind and exact body consumption.
+pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T> {
+    decode_body(&SnapshotReader::parse(bytes)?)
+}
+
 /// [`from_bytes`] over owner-pinned bytes: identical validation and
 /// identical decoded values (bit-for-bit), but matrix payloads come back
 /// as zero-copy views into the shared buffer wherever the layout's
@@ -582,17 +467,7 @@ pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T> {
 /// can outlive both `shared` and the call stack (e.g. live inside a
 /// `ModelRegistry` entry).
 pub fn from_shared<T: Snapshot>(shared: &SharedBytes) -> Result<T> {
-    let snap = LazySnapshot::open_shared(shared)?;
-    if snap.kind() != T::KIND {
-        return Err(PersistError::WrongKind {
-            got: snap.kind(),
-            expected: T::KIND,
-        });
-    }
-    let mut dec = snap.section(SECTION_BODY)?;
-    let value = T::decode(&mut dec)?;
-    dec.finish()?;
-    Ok(value)
+    decode_body(&SnapshotReader::parse_shared(shared)?)
 }
 
 /// Infix every writer-unique temp file carries between the original file
@@ -673,7 +548,7 @@ pub fn save<T: Snapshot>(value: &T, path: &Path) -> Result<()> {
 
 /// Loads a snapshot file written by [`save`] by memory-mapping it
 /// ([`SharedBytes::map`], an owned read off unix and for empty files)
-/// and decoding through the zero-copy tier ([`from_shared`]): header,
+/// and decoding it with [`from_shared`]: header,
 /// table and CRC validation plus structural decode, with large `f64`
 /// payloads served straight from the page cache instead of copied. The
 /// decoded values are bit-identical to [`from_bytes`] over the same
@@ -926,44 +801,12 @@ mod tests {
     }
 
     #[test]
-    fn lazy_snapshot_decodes_on_touch_and_memoizes() {
+    fn owned_and_shared_paths_are_bit_identical() {
         let b = blob();
         let bytes = to_bytes(&b);
-        let snap = LazySnapshot::open(&bytes).unwrap();
-        assert_eq!(snap.kind(), Blob::KIND);
-        assert_eq!(snap.version(), FORMAT_VERSION);
-        assert!(snap.has_section(SECTION_BODY));
-        assert!(!snap.has_section(0xFFFF));
-        assert_eq!(snap.section_ids(), vec![SECTION_BODY]);
-
-        let first = snap.section_value::<Blob>(SECTION_BODY).unwrap();
-        assert_eq!(first.tag, b.tag);
-        let second = snap.section_value::<Blob>(SECTION_BODY).unwrap();
-        assert!(
-            std::ptr::eq(first, second),
-            "second touch must return the memoized value"
-        );
-        // same section under a different type is a typed caller bug
-        assert!(matches!(
-            snap.section_value::<u64>(SECTION_BODY),
-            Err(PersistError::Malformed(_))
-        ));
-        assert!(matches!(
-            snap.section_value::<Blob>(0x7777),
-            Err(PersistError::MissingSection { id: 0x7777 })
-        ));
-    }
-
-    #[test]
-    fn lazy_and_eager_paths_are_bit_identical() {
-        let b = blob();
-        let bytes = to_bytes(&b);
-        let eager: Blob = from_bytes(&bytes).unwrap();
-        let shared = SharedBytes::from_vec(bytes.clone());
-        let lazy: Blob = from_shared(&shared).unwrap();
-        let snap = LazySnapshot::open_shared(&shared).unwrap();
-        let touched = snap.section_value::<Blob>(SECTION_BODY).unwrap();
-        for variant in [&eager, &lazy, touched] {
+        let owned: Blob = from_bytes(&bytes).unwrap();
+        let shared: Blob = from_shared(&SharedBytes::from_vec(bytes)).unwrap();
+        for variant in [&owned, &shared] {
             assert_eq!(variant.tag, b.tag);
             let bits: Vec<u64> = variant.xs.iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = b.xs.iter().map(|v| v.to_bits()).collect();
@@ -997,19 +840,19 @@ mod tests {
         let w = Weights {
             m: mfod_linalg::Matrix::from_fn(16, 16, |i, j| ((i * 16 + j) as f64).sqrt()),
         };
-        let dir = std::env::temp_dir().join(format!("mfod-lazy-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("mfod-mapped-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("w.mfod");
         save(&w, &path).unwrap();
 
-        let eager: Weights = from_bytes(&std::fs::read(&path).unwrap()).unwrap();
-        assert!(!eager.m.is_borrowed());
+        let owned: Weights = from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        assert!(!owned.m.is_borrowed());
         let mapped: Weights = load(&path).unwrap();
         assert!(
             mapped.m.is_borrowed(),
             "aligned matrix payload must be served from the map"
         );
-        for (a, b) in eager.m.as_slice().iter().zip(mapped.m.as_slice()) {
+        for (a, b) in owned.m.as_slice().iter().zip(mapped.m.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // the decoded value owns its keep-alive: reads work after the
@@ -1029,14 +872,18 @@ mod tests {
         bytes[n - 5] ^= 0xFF;
         // the CRC gate fires at open — before any section is touched
         assert!(matches!(
-            LazySnapshot::open(&bytes),
+            SnapshotReader::parse(&bytes),
+            Err(PersistError::ChecksumMismatch { .. })
+        ));
+        let shared = SharedBytes::from_vec(bytes);
+        assert!(matches!(
+            SnapshotReader::parse_shared(&shared),
             Err(PersistError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
-    fn touched_corruption_fails_typed_like_the_eager_path() {
-        let b = blob();
+    fn corrupt_body_fails_typed_on_owned_and_shared_bytes() {
         let mut w = SnapshotWriter::new(Blob::KIND);
         // a body section that lies about its vec length
         w.section(SECTION_BODY, |enc| {
@@ -1044,18 +891,18 @@ mod tests {
             enc.put_f64(1.0);
         });
         let bytes = w.finish();
-        // both paths agree: typed truncation, no panic, repeated on every touch
-        let eager_err = from_bytes::<Blob>(&bytes).unwrap_err();
-        assert!(matches!(eager_err, PersistError::Truncated { .. }));
-        let snap = LazySnapshot::open(&bytes).unwrap();
+        // the container is intact, so both readers open it; decoding the
+        // body fails typed, no panic, and again on every retry
+        let shared = SharedBytes::from_vec(bytes.clone());
         for _ in 0..2 {
-            let lazy_err = snap.section_value::<Blob>(SECTION_BODY).unwrap_err();
+            let owned_err = from_bytes::<Blob>(&bytes).unwrap_err();
+            assert!(matches!(owned_err, PersistError::Truncated { .. }));
+            let shared_err = from_shared::<Blob>(&shared).unwrap_err();
             assert!(
-                matches!(lazy_err, PersistError::Truncated { .. }),
-                "lazy touch must re-fail typed: {lazy_err}"
+                matches!(shared_err, PersistError::Truncated { .. }),
+                "shared decode must fail typed: {shared_err}"
             );
         }
-        drop(b);
     }
 
     #[test]

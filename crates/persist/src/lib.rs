@@ -13,6 +13,11 @@
 //! * [`mod@format`] — the container: `MFOD` magic, format version, artifact
 //!   kind, section table, CRC-32 trailer ([`Snapshot`],
 //!   [`to_bytes`]/[`from_bytes`], atomic [`save`] and mapped [`load`]).
+//!   [`SnapshotReader`] is the one reader: [`from_bytes`] opens it over
+//!   borrowed bytes, [`from_shared`] over owner-pinned ones, and both
+//!   decode the body section the same way.
+//! * [`map`] — [`SharedBytes`], the mapped (or aligned heap) buffer whose
+//!   8-aligned `Matrix` payloads decode as zero-copy views.
 //! * [`store`] — [`ModelStore`]: crash-consistent promotion, recovery
 //!   and rollback over an append-only deploy log.
 //! * [`registry`] — [`ModelRegistry`]: follows a store's deploy log
@@ -64,19 +69,19 @@ pub mod wire;
 
 pub use error::PersistError;
 pub use format::{
-    crc32, from_bytes, from_shared, load, save, save_bytes, to_bytes, LazySnapshot, Snapshot,
-    SnapshotReader, SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
+    crc32, from_bytes, from_shared, load, save, save_bytes, to_bytes, Snapshot, SnapshotReader,
+    SnapshotWriter, FORMAT_VERSION, MAGIC, SECTION_BODY, SNAPSHOT_EXT,
 };
 pub use hash::{fnv1a64, hash_f64s, Fnv1a};
 pub use manifest::{Manifest, ManifestEntry, KIND_MANIFEST};
-pub use map::{LazySection, SharedBytes};
+pub use map::SharedBytes;
 pub use registry::{ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle};
 pub use store::{
     fsck_dir, generation_file, FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport,
     DEPLOY_LOG_FILE, MANIFEST_FILE, QUARANTINE_DIR,
 };
 pub use wal::{append_record, replay, LogRecord, Replay, TornTail};
-pub use wire::{Decode, DecodeRef, Decoder, Encode, Encoder, F64Bits};
+pub use wire::{Decode, Decoder, Encode, Encoder};
 
 /// Crate-wide `Result` alias.
 pub type Result<T> = std::result::Result<T, PersistError>;
@@ -84,15 +89,13 @@ pub type Result<T> = std::result::Result<T, PersistError>;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::error::PersistError;
-    pub use crate::format::{
-        from_bytes, from_shared, load, save, to_bytes, LazySnapshot, Snapshot,
-    };
+    pub use crate::format::{from_bytes, from_shared, load, save, to_bytes, Snapshot};
     pub use crate::hash::{fnv1a64, hash_f64s, Fnv1a};
     pub use crate::manifest::{Manifest, ManifestEntry};
-    pub use crate::map::{LazySection, SharedBytes};
+    pub use crate::map::SharedBytes;
     pub use crate::registry::{
         ModelRegistry, RegistryHealth, Restorable, WatchConfig, WatchHandle,
     };
     pub use crate::store::{FsckIssue, FsckReport, ModelStore, QuarantineReason, RecoveryReport};
-    pub use crate::wire::{Decode, DecodeRef, Decoder, Encode, Encoder, F64Bits};
+    pub use crate::wire::{Decode, Decoder, Encode, Encoder};
 }

@@ -174,7 +174,7 @@ impl<T: Restorable> ModelRegistry<T> {
 
     /// Installs one store catalog entry from `dir`: maps the file once,
     /// checks its length and FNV-1a hash against the entry, then decodes
-    /// through the zero-copy tier and records `(generation, content_hash)`
+    /// it with [`crate::format::from_shared`] and records `(generation, content_hash)`
     /// as the served identity. A mismatch is
     /// [`PersistError::Malformed`] and leaves the active model untouched.
     pub(crate) fn install_entry(&self, dir: &Path, entry: &ManifestEntry) -> Result<u64> {

@@ -575,7 +575,7 @@ impl ModelStore {
     }
 
     /// Installs the active generation into `registry` via the mapped
-    /// zero-copy path: one map, a length and content-hash check against
+    /// path: one map, a length and content-hash check against
     /// the catalog entry, one decode. Returns the installed **store**
     /// generation, or `None` when the store has nothing committed. A
     /// later [`ModelRegistry::sync_store`] on this directory sees the

@@ -12,8 +12,8 @@
 
 use mfod_linalg::Matrix;
 use mfod_persist::{
-    from_bytes, from_shared, to_bytes, Decode, Decoder, Encode, Encoder, LazySnapshot,
-    PersistError, SharedBytes, Snapshot, SnapshotWriter,
+    from_bytes, from_shared, to_bytes, Decode, Decoder, Encode, Encoder, PersistError, SharedBytes,
+    Snapshot, SnapshotReader, SnapshotWriter,
 };
 use proptest::prelude::*;
 
@@ -139,7 +139,7 @@ proptest! {
     }
 
     #[test]
-    fn lazy_tier_decodes_bit_identically_to_eager(
+    fn shared_decode_is_bit_identical_to_owned(
         bits in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 1..40),
         rows in 1usize..8,
         cols in 1usize..8,
@@ -147,26 +147,26 @@ proptest! {
     ) {
         let original = mixed_from(bits, rows, cols, String::from("λ-payload"), flag);
         let bytes = to_bytes(&original);
-        let eager: Mixed = from_bytes(&bytes).unwrap();
-        let shared = SharedBytes::from_vec(bytes.clone());
-        let lazy: Mixed = from_shared(&shared).unwrap();
-        // field-by-field bit equality across tiers (matrix equality spans
-        // owned and borrowed storage)
-        prop_assert_eq!(bits_of(&eager.xs), bits_of(&lazy.xs));
+        let owned: Mixed = from_bytes(&bytes).unwrap();
+        let buf = SharedBytes::from_vec(bytes.clone());
+        let shared: Mixed = from_shared(&buf).unwrap();
+        // field-by-field bit equality across both paths (matrix equality
+        // spans owned and borrowed storage)
+        prop_assert_eq!(bits_of(&owned.xs), bits_of(&shared.xs));
         prop_assert_eq!(
-            bits_of(eager.matrix.as_slice()),
-            bits_of(lazy.matrix.as_slice())
+            bits_of(owned.matrix.as_slice()),
+            bits_of(shared.matrix.as_slice())
         );
-        prop_assert_eq!(eager.matrix.shape(), lazy.matrix.shape());
-        prop_assert_eq!(&eager.tag, &lazy.tag);
-        prop_assert_eq!(eager.flag, lazy.flag);
-        prop_assert_eq!(eager.maybe.map(f64::to_bits), lazy.maybe.map(f64::to_bits));
-        // and the lazy-decoded value re-encodes to the original file
-        prop_assert_eq!(to_bytes(&lazy), bytes);
+        prop_assert_eq!(owned.matrix.shape(), shared.matrix.shape());
+        prop_assert_eq!(&owned.tag, &shared.tag);
+        prop_assert_eq!(owned.flag, shared.flag);
+        prop_assert_eq!(owned.maybe.map(f64::to_bits), shared.maybe.map(f64::to_bits));
+        // and the shared-decoded value re-encodes to the original file
+        prop_assert_eq!(to_bytes(&shared), bytes);
     }
 
     #[test]
-    fn lazy_tier_rejects_exactly_what_eager_rejects(
+    fn shared_decode_rejects_exactly_what_owned_rejects(
         bits in proptest::collection::vec(proptest::arbitrary::any::<u64>(), 1..16),
         at_permille in 0usize..1000,
         flip in 1u32..256,
@@ -175,14 +175,14 @@ proptest! {
         let mut bytes = to_bytes(&original);
         let at = at_permille * (bytes.len() - 1) / 1000;
         bytes[at] ^= flip as u8;
-        let eager = from_bytes::<Mixed>(&bytes);
-        let shared = SharedBytes::from_vec(bytes);
-        let lazy = from_shared::<Mixed>(&shared);
-        // both tiers reject, with the same typed error family
-        prop_assert!(eager.is_err() && lazy.is_err());
+        let owned = from_bytes::<Mixed>(&bytes);
+        let buf = SharedBytes::from_vec(bytes);
+        let shared = from_shared::<Mixed>(&buf);
+        // both paths reject, with the same typed error family
+        prop_assert!(owned.is_err() && shared.is_err());
         prop_assert_eq!(
-            std::mem::discriminant(&eager.unwrap_err()),
-            std::mem::discriminant(&lazy.unwrap_err())
+            std::mem::discriminant(&owned.unwrap_err()),
+            std::mem::discriminant(&shared.unwrap_err())
         );
     }
 
@@ -208,7 +208,7 @@ proptest! {
     }
 }
 
-/// A small multi-section container for the exhaustive lazy-tier sweeps:
+/// A small multi-section container for the exhaustive open sweeps:
 /// three independently addressable `Vec<f64>` sections.
 fn multi_section_bytes() -> Vec<u8> {
     let mut w = SnapshotWriter::new(0x4C5A);
@@ -221,44 +221,60 @@ fn multi_section_bytes() -> Vec<u8> {
     w.finish()
 }
 
+/// Whether [`SnapshotReader`] rejects `bytes` when opened over borrowed
+/// bytes and when opened over an owner-pinned copy of them.
+fn rejected_at_open(bytes: &[u8]) -> (bool, bool) {
+    let shared = SharedBytes::from_vec(bytes.to_vec());
+    (
+        SnapshotReader::parse(bytes).is_err(),
+        SnapshotReader::parse_shared(&shared).is_err(),
+    )
+}
+
 /// Exhaustive sweep: **every** single-byte corruption of a multi-section
-/// snapshot is rejected by [`LazySnapshot::open`] — up front, before any
-/// section is touched. This is the "tamper in a section you never
-/// decode" guarantee: validation is CRC-whole-file, not per-touch.
+/// snapshot is rejected when the reader is opened — up front, before any
+/// section is touched, over borrowed and owner-pinned bytes alike. This
+/// is the "tamper in a section you never decode" guarantee: validation
+/// is CRC-whole-file, not per-section.
 #[test]
-fn every_byte_flip_is_rejected_at_lazy_open() {
+fn every_byte_flip_is_rejected_at_open() {
     let good = multi_section_bytes();
     for at in 0..good.len() {
         let mut bad = good.clone();
         bad[at] ^= 0x01;
-        assert!(
-            LazySnapshot::open(&bad).is_err(),
+        assert_eq!(
+            rejected_at_open(&bad),
+            (true, true),
             "flip at byte {at} survived open"
         );
     }
     // and the pristine bytes still open, with all sections reachable
-    let snap = LazySnapshot::open(&good).unwrap();
-    for id in 1u32..=3 {
-        let xs: &Vec<f64> = snap.section_value(id).unwrap();
-        assert_eq!(xs.len(), 9);
+    let shared = SharedBytes::from_vec(good.clone());
+    for reader in [
+        SnapshotReader::parse(&good).unwrap(),
+        SnapshotReader::parse_shared(&shared).unwrap(),
+    ] {
+        assert_eq!(reader.section_ids(), vec![1, 2, 3]);
+        for id in 1u32..=3 {
+            let mut dec = reader.section(id).unwrap();
+            let xs = Vec::<f64>::decode(&mut dec).unwrap();
+            dec.finish().unwrap();
+            assert_eq!(xs.len(), 9);
+        }
     }
 }
 
 /// Exhaustive sweep: **every** truncation of a multi-section snapshot is
-/// rejected by the lazy tier, through both the borrowed and the
-/// owner-pinned open paths.
+/// rejected when the reader is opened, over borrowed and owner-pinned
+/// bytes alike.
 #[test]
-fn every_truncation_is_rejected_at_lazy_open() {
+fn every_truncation_is_rejected_at_open() {
     let good = multi_section_bytes();
     for n in 0..good.len() {
-        assert!(
-            LazySnapshot::open(&good[..n]).is_err(),
+        assert_eq!(
+            rejected_at_open(&good[..n]),
+            (true, true),
             "truncation to {n} bytes survived open"
-        );
-        let shared = SharedBytes::from_vec(good[..n].to_vec());
-        assert!(
-            LazySnapshot::open_shared(&shared).is_err(),
-            "truncation to {n} bytes survived open_shared"
         );
     }
 }
@@ -296,9 +312,10 @@ fn every_manifest_byte_flip_is_rejected() {
             from_bytes::<mfod_persist::Manifest>(&bad).is_err(),
             "manifest flip at byte {at} decoded"
         );
-        assert!(
-            LazySnapshot::open(&bad).is_err(),
-            "manifest flip at byte {at} survived lazy open"
+        assert_eq!(
+            rejected_at_open(&bad),
+            (true, true),
+            "manifest flip at byte {at} survived open"
         );
     }
     let back: mfod_persist::Manifest = from_bytes(&good).unwrap();

@@ -151,7 +151,7 @@ fn mapped_install_hot_swaps_bit_identically_across_paths() {
     .restore()
     .unwrap();
 
-    // mmap-install into the registry (zero-copy decode tier)
+    // mmap-install into the registry (the mapped decode path)
     let registry: ModelRegistry<FittedPipeline> = ModelRegistry::new();
     registry
         .install_mapped(&dir.join("model-001.mfod"))
