@@ -118,6 +118,16 @@ impl GriddedDataSet {
         out
     }
 
+    /// The point cloud at grid index `j` of the samples `indices`, in that
+    /// order: `self.subset(indices)?.point_cloud(j)` without the subset.
+    pub(crate) fn point_cloud_of(&self, j: usize, indices: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(indices.len(), self.dim);
+        for (r, &i) in indices.iter().enumerate() {
+            out.row_mut(r).copy_from_slice(self.samples[i].row(j));
+        }
+        out
+    }
+
     /// The values of channel `k` for every sample at grid index `j`.
     pub fn channel_at(&self, j: usize, k: usize) -> Vec<f64> {
         self.samples.iter().map(|s| s[(j, k)]).collect()

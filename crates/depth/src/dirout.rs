@@ -26,9 +26,24 @@
 //! own task, along one direction stream drawn once per decomposition and
 //! shared by every grid point — scores are bit-for-bit identical at any
 //! pool size.
+//!
+//! Two paths score a reference/query split. [`DirOut::decompose_against`]
+//! projects two separate datasets direction by direction and selects each
+//! median and MAD. [`DirOut::decompose_indexed`] scores index lists into
+//! one dataset from its [`ProjectionTable`], which holds every curve's
+//! projections already sorted: per split it only gathers the reference
+//! members' sorted values, reads the median off the middle and finds the
+//! MAD by binary search. Median and MAD are order statistics, and both
+//! paths share the degenerate-direction predicate, the residual fold, the
+//! orientation and the aggregation over `t`, so they agree bit for bit.
+//! The Fig. 3 protocol builds one table per dataset and scores every split
+//! through it.
 
 use crate::dataset::GriddedDataSet;
-use crate::projection::{coordinate_median, outlyingness_along, Directions, ProjectionConfig};
+use crate::projection::{
+    coordinate_median, outlyingness_along, Directions, Membership, ProjectionConfig,
+    ProjectionTable,
+};
 use crate::{FunctionalOutlierScorer, Result};
 use mfod_linalg::{par, vector, Matrix};
 
@@ -150,6 +165,64 @@ impl DirOut {
             let ref_cloud = reference.point_cloud(j);
             let query_cloud = queries.point_cloud(j);
             let outcome = outlyingness_along(&ref_cloud, Some(&query_cloud), &directions)
+                .map_err(|e| e.at_grid_point(j))?;
+            Ok(oriented_block(&outcome, &ref_cloud, &query_cloud))
+        })
+    }
+
+    /// MO/VO/FO of the `queries` curves of `table`'s dataset against its
+    /// `reference` curves — bit-for-bit
+    /// `decompose_against(&data.subset(reference)?, &data.subset(queries)?)`,
+    /// the direction counts and errors included, for any index lists,
+    /// overlapping or repeated ones too. Runs on the global worker pool;
+    /// see [`DirOut::decompose_indexed_on`].
+    pub fn decompose_indexed(
+        &self,
+        table: &ProjectionTable,
+        reference: &[usize],
+        queries: &[usize],
+    ) -> Result<DirOutScores> {
+        self.decompose_indexed_on(par::global(), table, reference, queries)
+    }
+
+    /// [`DirOut::decompose_indexed`] on an explicit worker pool, with the
+    /// same grid-order determinism contract as [`DirOut::decompose_on`].
+    /// The table must have been built with this scorer's
+    /// [`DirOut::projection`] settings.
+    pub fn decompose_indexed_on(
+        &self,
+        pool: &par::Pool,
+        table: &ProjectionTable,
+        reference: &[usize],
+        queries: &[usize],
+    ) -> Result<DirOutScores> {
+        let data = table.data();
+        for indices in [reference, queries] {
+            if let Some(i) = indices.iter().find(|&&i| i >= data.n()) {
+                return Err(crate::DepthError::InvalidParameter(format!(
+                    "index {i} out of range"
+                )));
+            }
+            if indices.is_empty() {
+                return Err(crate::DepthError::TooFewSamples { got: 0, need: 1 });
+            }
+        }
+        if table.config() != &self.projection {
+            return Err(crate::DepthError::InvalidParameter(
+                "projection table was built with other projection settings".into(),
+            ));
+        }
+        let members = Membership::new(data.n(), reference);
+        let dims = Dims {
+            n: queries.len(),
+            m: data.m(),
+            p: data.dim(),
+        };
+        decompose_pointwise_on(pool, dims, data.grid(), |j| {
+            let ref_cloud = data.point_cloud_of(j, reference);
+            let query_cloud = data.point_cloud_of(j, queries);
+            let outcome = table
+                .outlyingness_at(j, &members, queries, &ref_cloud, &query_cloud)
                 .map_err(|e| e.at_grid_point(j))?;
             Ok(oriented_block(&outcome, &ref_cloud, &query_cloud))
         })
@@ -463,10 +536,242 @@ mod tests {
         let wide_q = scorer
             .decompose_against_on(&par::Pool::with_threads(8), &reference, &d)
             .unwrap();
-        assert_eq!(seq_q.degenerate_directions, wide_q.degenerate_directions);
-        for (a, b) in seq_q.fo.iter().zip(&wide_q.fo) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_same(&seq_q, &wide_q);
+    }
+
+    /// Every field of two decompositions, as bits.
+    fn assert_same(a: &DirOutScores, b: &DirOutScores) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.degenerate_directions, b.degenerate_directions);
+        assert_eq!(a.attempted_directions, b.attempted_directions);
+        assert_eq!(bits(&a.fo), bits(&b.fo));
+        assert_eq!(bits(&a.vo), bits(&b.vo));
+        assert_eq!(a.mo.len(), b.mo.len());
+        for (ma, mb) in a.mo.iter().zip(&b.mo) {
+            assert_eq!(bits(ma), bits(mb));
         }
+    }
+
+    /// Asserts that the indexed path equals the subset path — scores,
+    /// direction counts or error — with the table built and the split
+    /// scored on 1 and on 8 threads.
+    fn assert_indexed_parity(
+        scorer: &DirOut,
+        data: &GriddedDataSet,
+        reference: &[usize],
+        queries: &[usize],
+    ) -> Result<DirOutScores> {
+        let pools = [par::Pool::with_threads(1), par::Pool::with_threads(8)];
+        let expected = data.subset(reference).and_then(|r| {
+            let q = data.subset(queries)?;
+            scorer.decompose_against_on(&pools[0], &r, &q)
+        });
+        for build in &pools {
+            let table = ProjectionTable::build(build, data, &scorer.projection);
+            for pool in &pools {
+                match (
+                    &expected,
+                    &scorer.decompose_indexed_on(pool, &table, reference, queries),
+                ) {
+                    (Ok(a), Ok(b)) => assert_same(a, b),
+                    (Err(a), Err(b)) => assert_eq!(a, b),
+                    (a, b) => panic!("subset path {a:?}, indexed path {b:?}"),
+                }
+            }
+        }
+        expected
+    }
+
+    /// `n` bivariate curves on `m` grid points, `X_i(t_j) = point(i, j)`.
+    fn curves(n: usize, m: usize, point: impl Fn(usize, usize) -> [f64; 2]) -> GriddedDataSet {
+        let grid: Vec<f64> = (0..m).map(|j| j as f64).collect();
+        let samples = (0..n)
+            .map(|i| {
+                let mut s = Matrix::zeros(m, 2);
+                for j in 0..m {
+                    s.row_mut(j).copy_from_slice(&point(i, j));
+                }
+                s
+            })
+            .collect();
+        GriddedDataSet::new(grid, samples).unwrap()
+    }
+
+    fn small_scorer() -> DirOut {
+        DirOut {
+            projection: ProjectionConfig {
+                n_directions: 16,
+                seed: 3,
+            },
+        }
+    }
+
+    #[test]
+    fn indexed_matches_subsets_with_ties_and_odd_and_even_references() {
+        // few distinct levels, so projections tie exactly; the last curves
+        // differ from 1.0 in the lowest bits only, below the sort key's
+        // packed curve index
+        let data = curves(24, 6, |i, j| {
+            if i >= 20 {
+                let x = 1.0 + (24 - i) as f64 * f64::EPSILON;
+                [x, x]
+            } else {
+                [((i * 7 + j * 3) % 5) as f64, ((i * 3 + j) % 4) as f64 * 0.5]
+            }
+        });
+        let scorer = small_scorer();
+        let queries: Vec<usize> = (0..24).collect();
+        for reference in [
+            vec![0, 2, 4, 6, 8, 10, 20, 21, 22],
+            vec![1, 3, 5, 7, 9, 11, 13, 20, 21, 23],
+        ] {
+            let scores = assert_indexed_parity(&scorer, &data, &reference, &queries).unwrap();
+            assert!(scores.fo.iter().all(|v| v.is_finite()));
+        }
+    }
+
+    #[test]
+    fn indexed_matches_subsets_on_signed_zeros_and_degenerate_directions() {
+        // x is ±0 for most curves: a zero median, a zero MAD along the x
+        // axis, signed-zero projections along the others
+        let data = curves(15, 5, |i, j| {
+            let x = match i % 5 {
+                0 | 2 => 0.0,
+                1 | 3 => -0.0,
+                _ => (i as f64 - 7.0) * 0.25,
+            };
+            let y = if (i + j) % 4 == 0 {
+                -0.0
+            } else {
+                (i as f64 * 0.3 + j as f64).sin()
+            };
+            [x, y]
+        });
+        let scorer = small_scorer();
+        let queries: Vec<usize> = (0..15).collect();
+        for reference in [(0..15).collect::<Vec<_>>(), vec![0, 1, 2, 3, 5, 6, 7, 8]] {
+            let scores = assert_indexed_parity(&scorer, &data, &reference, &queries).unwrap();
+            assert!(scores.degenerate_directions > 0, "{scores:?}");
+            assert!(scores.degenerate_directions < scores.attempted_directions);
+        }
+    }
+
+    #[test]
+    fn indexed_reports_the_subset_paths_collapse_error() {
+        // at grid point 2 every curve sits on one point: every direction
+        // degenerates there, and there first
+        let data = curves(10, 4, |i, j| {
+            if j >= 2 {
+                [1.0, 2.0]
+            } else {
+                [i as f64, (i * i) as f64]
+            }
+        });
+        let queries = [0, 4, 9];
+        let err =
+            assert_indexed_parity(&small_scorer(), &data, &[1, 2, 3, 5, 7], &queries).unwrap_err();
+        match err {
+            crate::DepthError::AtGridPoint { grid_index, source } => {
+                assert_eq!(grid_index, 2);
+                assert!(matches!(
+                    *source,
+                    crate::DepthError::DegenerateDirections { attempted: 18 }
+                ));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn indexed_keeps_the_exact_univariate_path() {
+        let m = 8;
+        let grid: Vec<f64> = (0..m).map(|j| j as f64).collect();
+        let values: Vec<Vec<f64>> = (0..11)
+            .map(|i| {
+                (0..m)
+                    .map(|j| {
+                        if j == 5 && i < 8 {
+                            -0.0
+                        } else {
+                            ((i * 5 + j) % 7) as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let data = GriddedDataSet::from_univariate(grid, values).unwrap();
+        let scorer = DirOut::new();
+        let queries: Vec<usize> = (0..11).collect();
+        let scores = assert_indexed_parity(&scorer, &data, &[0, 3, 8, 9, 10], &queries).unwrap();
+        assert_eq!(scores.attempted_directions, m);
+        // at grid point 5 the reference {0, 1, 2, 3, 4} is all -0.0
+        let err = assert_indexed_parity(&scorer, &data, &[0, 1, 2, 3, 4], &queries).unwrap_err();
+        match err {
+            crate::DepthError::AtGridPoint { grid_index, source } => {
+                assert_eq!(grid_index, 5);
+                assert!(matches!(*source, crate::DepthError::DegenerateScale { .. }));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn indexed_accepts_overlapping_and_repeated_indices() {
+        let data = curves(14, 5, |i, j| {
+            let t = j as f64 * 0.3 + i as f64 * 0.07;
+            [t.sin() * (1.0 + i as f64 * 0.1), (t * 1.7).cos()]
+        });
+        let scorer = small_scorer();
+        for (reference, queries) in [
+            (vec![0, 1, 1, 2, 5, 5, 5, 9], vec![1, 5, 3, 3, 12]),
+            (vec![13, 2, 7, 2, 11, 6, 0], vec![13, 13, 13]),
+        ] {
+            assert_indexed_parity(&scorer, &data, &reference, &queries).unwrap();
+        }
+        // one curve twice: a zero MAD along every direction, on both paths
+        assert_indexed_parity(&scorer, &data, &[4, 4], &[4, 0, 4]).unwrap_err();
+    }
+
+    #[test]
+    fn indexed_matches_subsets_above_256_curves() {
+        // 300 curves: curve indices no longer fit a byte
+        let data = curves(300, 3, |i, j| {
+            let a = i as f64 * 0.37 + j as f64;
+            [a.sin() + (i % 7) as f64, (a * 0.61).cos() * (i % 11) as f64]
+        });
+        let scorer = DirOut {
+            projection: ProjectionConfig {
+                n_directions: 4,
+                seed: 11,
+            },
+        };
+        let reference: Vec<usize> = (0..300).step_by(2).chain([299, 299]).collect();
+        let queries: Vec<usize> = (0..300).rev().step_by(3).collect();
+        assert_indexed_parity(&scorer, &data, &reference, &queries).unwrap();
+    }
+
+    #[test]
+    fn indexed_rejects_bad_indices_and_foreign_tables_with_typed_errors() {
+        let data = curves(6, 3, |i, j| [i as f64, (i * j) as f64]);
+        let scorer = small_scorer();
+        for (reference, queries) in [
+            (vec![0, 6], vec![1]),
+            (vec![0, 1], vec![2, usize::MAX]),
+            (vec![], vec![1]),
+            (vec![0, 1, 2], vec![]),
+            (vec![], vec![9]),
+        ] {
+            let err = assert_indexed_parity(&scorer, &data, &reference, &queries).unwrap_err();
+            assert!(matches!(
+                err,
+                crate::DepthError::InvalidParameter(_) | crate::DepthError::TooFewSamples { .. }
+            ));
+        }
+        let table = ProjectionTable::build(&par::Pool::with_threads(1), &data, &scorer.projection);
+        assert!(matches!(
+            DirOut::new().decompose_indexed(&table, &[0, 1, 2], &[3]),
+            Err(crate::DepthError::InvalidParameter(_))
+        ));
     }
 
     #[test]

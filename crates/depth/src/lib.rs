@@ -12,7 +12,9 @@
 //!   (integral à la Fraiman–Muniz, or the infimum fix for issue (2) of the
 //!   paper) and the fast modified band depth;
 //! * [`projection`] — univariate and random-direction projection
-//!   depth/outlyingness primitives shared by the above.
+//!   depth/outlyingness primitives shared by the above, and the
+//!   [`ProjectionTable`] from which Dir.out scores many splits of one
+//!   dataset.
 //!
 //! All scorers implement [`FunctionalOutlierScorer`] over a
 //! [`GriddedDataSet`] (samples evaluated on a common grid) and return
@@ -35,6 +37,7 @@ pub use dataset::GriddedDataSet;
 pub use dirout::{DirOut, DirOutScores};
 pub use error::DepthError;
 pub use funta::{CrossingTable, Funta};
+pub use projection::ProjectionTable;
 pub use snapshot::DepthScorerSnapshot;
 
 /// Crate-wide `Result` alias.

@@ -14,8 +14,14 @@
 //! Dir.out calls this once per grid point, and already runs its grid
 //! points on the pool, so it draws the direction stream once per
 //! decomposition and runs each grid point's directions inline on the
-//! calling task instead (same kernel, same fold order, same bits).
+//! calling task instead (same kernel, same fold order, same bits). To
+//! score many reference/query splits of one dataset, it reads a
+//! [`ProjectionTable`] instead: the projections of every curve, built
+//! once and sorted per (grid point, direction), from which a split's
+//! median and MAD are read rather than selected. One fold serves both
+//! kernels, with the same degenerate-direction predicate.
 
+use crate::dataset::GriddedDataSet;
 use crate::error::DepthError;
 use crate::Result;
 use mfod_linalg::{par, vector, Matrix};
@@ -41,7 +47,7 @@ pub fn univariate_outlyingness(points: &[f64]) -> Result<Vec<f64>> {
 }
 
 /// Configuration for random-direction projection outlyingness in `R^p`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProjectionConfig {
     /// Number of random unit directions (coordinate axes are always
     /// included in addition).
@@ -198,6 +204,7 @@ fn univariate(reference: &Matrix, queries: Option<&Matrix>) -> Result<Projection
 /// coordinate axes, then `n_directions` isotropic Gaussian draws,
 /// normalized. It depends only on `p` and the config, so one stream serves
 /// any number of clouds of that dimension.
+#[derive(Debug, Clone)]
 pub(crate) struct Directions {
     /// The usable unit directions, in draw order.
     units: Vec<Vec<f64>>,
@@ -332,6 +339,37 @@ struct Supremum {
     degenerate: usize,
 }
 
+impl Supremum {
+    /// An empty supremum over `n` scored points.
+    fn new(n: usize) -> Self {
+        Supremum {
+            scores: vec![0.0; n],
+            used: 0,
+            degenerate: 0,
+        }
+    }
+
+    /// Folds one direction into the running maximum: the scored points'
+    /// normalized residuals `|x − med| / mad`, from their `projections`
+    /// in scoring order — or, when the MAD is zero or non-finite, counts
+    /// the direction as degenerate and reads no projection. The one
+    /// degenerate predicate and residual fold of both the direct kernel
+    /// and the [`ProjectionTable`] kernel.
+    fn fold(&mut self, med: f64, mad: f64, projections: impl Iterator<Item = f64>) {
+        if mad <= 1e-300 || !mad.is_finite() {
+            self.degenerate += 1;
+            return;
+        }
+        self.used += 1;
+        for (o, x) in self.scores.iter_mut().zip(projections) {
+            let v = (x - med).abs() / mad;
+            if v > *o {
+                *o = v;
+            }
+        }
+    }
+}
+
 /// The per-direction kernel: projects `reference` on each of `units`,
 /// takes the median and MAD of the projections, and folds the scored
 /// points' normalized residuals into a running maximum, in direction
@@ -339,12 +377,7 @@ struct Supremum {
 /// allocation per direction).
 fn fold_directions(reference: &Matrix, queries: Option<&Matrix>, units: &[Vec<f64>]) -> Supremum {
     let n_ref = reference.nrows();
-    let n_out = queries.map_or(n_ref, Matrix::nrows);
-    let mut sup = Supremum {
-        scores: vec![0.0; n_out],
-        used: 0,
-        degenerate: 0,
-    };
+    let mut sup = Supremum::new(queries.map_or(n_ref, Matrix::nrows));
     let mut proj_ref = vec![0.0; n_ref];
     let mut scratch = vec![0.0; n_ref];
     for u in units {
@@ -352,28 +385,9 @@ fn fold_directions(reference: &Matrix, queries: Option<&Matrix>, units: &[Vec<f6
             *pr = vector::dot(reference.row(i), u);
         }
         let (med, mad) = median_mad(&proj_ref, &mut scratch);
-        if mad <= 1e-300 || !mad.is_finite() {
-            sup.degenerate += 1;
-            continue;
-        }
-        sup.used += 1;
         match queries {
-            None => {
-                for (o, &pr) in sup.scores.iter_mut().zip(proj_ref.iter()) {
-                    let v = (pr - med).abs() / mad;
-                    if v > *o {
-                        *o = v;
-                    }
-                }
-            }
-            Some(q) => {
-                for (i, o) in sup.scores.iter_mut().enumerate() {
-                    let v = (vector::dot(q.row(i), u) - med).abs() / mad;
-                    if v > *o {
-                        *o = v;
-                    }
-                }
-            }
+            None => sup.fold(med, mad, proj_ref.iter().copied()),
+            Some(q) => sup.fold(med, mad, (0..q.nrows()).map(|i| vector::dot(q.row(i), u))),
         }
     }
     sup
@@ -390,6 +404,318 @@ fn median_mad(values: &[f64], scratch: &mut [f64]) -> (f64, f64) {
         *v = (*v - med).abs();
     }
     (med, vector::median_in_place(scratch))
+}
+
+/// [`median_mad`] of values already in ascending [`f64::total_cmp`]
+/// order, bit for bit: the median is read from the middle, and the MAD is
+/// selected from the two runs of absolute deviations, which fall towards
+/// the median from below and rise away from it above, by a binary search
+/// instead of a second select.
+fn sorted_median_mad(sorted: &[f64]) -> (f64, f64) {
+    let r = sorted.len();
+    let mid = r / 2;
+    let med = if r % 2 == 1 {
+        sorted[mid]
+    } else {
+        0.5 * (sorted[mid - 1] + sorted[mid])
+    };
+    let (below, above) = sorted.split_at(sorted.partition_point(|&x| x < med));
+    // both runs ascending: `left(i)` is the i-th deviation below the median
+    let left = |i: usize| (below[below.len() - 1 - i] - med).abs();
+    let right = |i: usize| (above[i] - med).abs();
+    // the `mid` smallest deviations are the first `i` of the left run and
+    // the first `mid − i` of the right run; find `i`
+    let (mut lo, mut hi) = (mid.saturating_sub(above.len()), mid.min(below.len()));
+    while lo < hi {
+        let i = (lo + hi) / 2;
+        if left(i) < right(mid - 1 - i) {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    let (i, k) = (lo, mid - lo);
+    // the deviation of rank `mid` (0-based) heads one of the two remainders
+    let upper = match (i < below.len(), k < above.len()) {
+        (true, true) => left(i).min(right(k)),
+        (true, false) => left(i),
+        (false, _) => right(k),
+    };
+    if r % 2 == 1 {
+        return (med, upper);
+    }
+    let lower = match (i > 0, k > 0) {
+        (true, true) => left(i - 1).max(right(k - 1)),
+        (true, false) => left(i - 1),
+        (false, _) => right(k - 1),
+    };
+    (med, 0.5 * (lower + upper))
+}
+
+/// Every curve's projection on every direction of a [`ProjectionConfig`]'s
+/// stream at every grid point of one dataset, sorted per (grid point,
+/// direction) in ascending [`f64::total_cmp`] order: what
+/// [`crate::DirOut::decompose_indexed`] needs to score any reference/query
+/// split of the dataset without projecting or selecting again. The Fig. 3
+/// protocol draws every split from one pool of curves, so one table serves
+/// all of them.
+///
+/// For `n` curves, `m` grid points and `D` directions (the `p` axes and
+/// the random draws that normalize) the table holds `n·m·D·(8 + 2b)`
+/// bytes: each sorted projection, the curve it belongs to, and each
+/// curve's position in the sorted run, where `b`, the width of a curve
+/// index, is 1 byte up to 256 curves, 2 up to 65,536 and 4 above. The
+/// golden Fig. 3 data (`n = 192`, `m = 85`, `D = 130`) takes about 21 MB.
+/// Univariate data (`p = 1`) is scored exactly, without directions, and
+/// its table stores no projections. The table also keeps a copy of the
+/// dataset for the point clouds that orient Dir.out.
+#[derive(Debug, Clone)]
+pub struct ProjectionTable {
+    data: GriddedDataSet,
+    config: ProjectionConfig,
+    directions: Directions,
+    projections: Projections,
+}
+
+/// One block per grid point, with the narrowest curve index that holds
+/// `n − 1`.
+#[derive(Debug, Clone)]
+enum Projections {
+    Narrow(Vec<GridBlock<u8>>),
+    Wide(Vec<GridBlock<u16>>),
+    Full(Vec<GridBlock<u32>>),
+}
+
+/// One grid point's projections of `n` curves on `D` directions: a run of
+/// `n` per direction in each field, so a split streams the block row
+/// after row.
+#[derive(Debug, Clone)]
+struct GridBlock<I> {
+    /// At `d·n + r`, the `r`-th smallest projection on direction `d`.
+    sorted: Vec<f64>,
+    /// At `d·n + r`, the curve that projection belongs to.
+    order: Vec<I>,
+    /// At `d·n + i`, the position of curve `i`'s projection in its run.
+    rank: Vec<I>,
+}
+
+/// A curve index as stored in a [`GridBlock`].
+trait CurveIndex: Copy + Send + Sync {
+    /// Narrows `i`, which the table has checked to fit.
+    fn narrow(i: usize) -> Self;
+    /// Widens back to `usize`.
+    fn index(self) -> usize;
+}
+
+macro_rules! curve_index {
+    ($($t:ty),*) => {$(
+        impl CurveIndex for $t {
+            fn narrow(i: usize) -> Self {
+                i as $t
+            }
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+curve_index!(u8, u16, u32);
+
+/// How many times each curve of a [`ProjectionTable`]'s dataset enters a
+/// reference set.
+pub(crate) struct Membership {
+    counts: Vec<u32>,
+    /// Reference size, repeats included.
+    size: usize,
+    /// Whether some curve enters more than once.
+    repeated: bool,
+}
+
+impl Membership {
+    /// Counts `reference`, whose indices the caller has checked against
+    /// the `n` curves.
+    pub(crate) fn new(n: usize, reference: &[usize]) -> Self {
+        let mut counts = vec![0u32; n];
+        for &i in reference {
+            counts[i] += 1;
+        }
+        Membership {
+            repeated: counts.iter().any(|&c| c > 1),
+            counts,
+            size: reference.len(),
+        }
+    }
+
+    /// The members' values of one sorted run (`sorted`, with the curves
+    /// in `order`), still sorted, at the front of `buf`, which is at least
+    /// `max(n, size)` long.
+    fn gather<'b, I: CurveIndex>(
+        &self,
+        sorted: &[f64],
+        order: &[I],
+        buf: &'b mut [f64],
+    ) -> &'b [f64] {
+        let mut w = 0usize;
+        if self.repeated {
+            for (&x, &o) in sorted.iter().zip(order) {
+                let c = self.counts[o.index()] as usize;
+                buf[w..w + c].fill(x);
+                w += c;
+            }
+        } else {
+            // branch-free: every value is written, only members advance
+            for (&x, &o) in sorted.iter().zip(order) {
+                buf[w] = x;
+                w += self.counts[o.index()] as usize;
+            }
+        }
+        &buf[..self.size]
+    }
+}
+
+/// Sort key of `x` whose unsigned order is [`f64::total_cmp`]'s.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+}
+
+impl ProjectionTable {
+    /// Projects every curve of `data` on `config`'s direction stream at
+    /// every grid point and sorts the projections, one pool task per grid
+    /// point. Every run is a pure function of its grid point and
+    /// direction, so the table is identical at any pool size.
+    pub fn build(pool: &par::Pool, data: &GriddedDataSet, config: &ProjectionConfig) -> Self {
+        let directions = Directions::draw(data.dim(), config);
+        let units: &[Vec<f64>] = if data.dim() == 1 {
+            &[]
+        } else {
+            &directions.units
+        };
+        let n = data.n();
+        let projections = if n <= 1 << 8 {
+            Projections::Narrow(project(pool, data, units))
+        } else if n <= 1 << 16 {
+            Projections::Wide(project(pool, data, units))
+        } else {
+            Projections::Full(project(pool, data, units))
+        };
+        ProjectionTable {
+            data: data.clone(),
+            config: config.clone(),
+            directions,
+            projections,
+        }
+    }
+
+    /// The dataset the table was built from.
+    pub(crate) fn data(&self) -> &GriddedDataSet {
+        &self.data
+    }
+
+    /// The direction stream's configuration.
+    pub(crate) fn config(&self) -> &ProjectionConfig {
+        &self.config
+    }
+
+    /// [`outlyingness_along`] of the cloud at grid point `j`, from the
+    /// table: location and scale from the `reference` members, scores for
+    /// the `queries`. `ref_cloud` and `query_cloud` are those curves' rows
+    /// at `j`, which the exact univariate path reads instead.
+    pub(crate) fn outlyingness_at(
+        &self,
+        j: usize,
+        reference: &Membership,
+        queries: &[usize],
+        ref_cloud: &Matrix,
+        query_cloud: &Matrix,
+    ) -> Result<ProjectionOutcome> {
+        if ref_cloud.ncols() == 1 {
+            return univariate(ref_cloud, Some(query_cloud));
+        }
+        let n = self.data.n();
+        let sup = match &self.projections {
+            Projections::Narrow(blocks) => fold_table(&blocks[j], n, reference, queries),
+            Projections::Wide(blocks) => fold_table(&blocks[j], n, reference, queries),
+            Projections::Full(blocks) => fold_table(&blocks[j], n, reference, queries),
+        };
+        self.directions.merge([sup])
+    }
+}
+
+/// One [`GridBlock`] per grid point. Each run is ordered by sorting keys
+/// that pack the projection's [`total_order_key`] above the curve index,
+/// then repaired exactly by insertion, since the packed index hides the
+/// key's low bits.
+fn project<I: CurveIndex>(
+    pool: &par::Pool,
+    data: &GriddedDataSet,
+    units: &[Vec<f64>],
+) -> Vec<GridBlock<I>> {
+    let n = data.n();
+    let id_bits = usize::BITS - (n - 1).leading_zeros();
+    let id_mask = (1u64 << id_bits) - 1;
+    pool.map(data.m(), |j| {
+        let cloud = data.point_cloud(j);
+        let mut sorted = Vec::with_capacity(units.len() * n);
+        let mut order = Vec::with_capacity(units.len() * n);
+        let mut rank = vec![I::narrow(0); units.len() * n];
+        let mut proj = vec![0.0; n];
+        let mut keys = vec![0u64; n];
+        for (u, rank_run) in units.iter().zip(rank.chunks_exact_mut(n)) {
+            for (i, (x, key)) in proj.iter_mut().zip(&mut keys).enumerate() {
+                *x = vector::dot(cloud.row(i), u);
+                *key = (total_order_key(*x) & !id_mask) | i as u64;
+            }
+            keys.sort_unstable();
+            let start = order.len();
+            order.extend(keys.iter().map(|&k| I::narrow((k & id_mask) as usize)));
+            let run = &mut order[start..];
+            for a in 1..n {
+                let mut b = a;
+                while b > 0
+                    && proj[run[b - 1].index()]
+                        .total_cmp(&proj[run[b].index()])
+                        .is_gt()
+                {
+                    run.swap(b - 1, b);
+                    b -= 1;
+                }
+            }
+            for (r, &o) in run.iter().enumerate() {
+                sorted.push(proj[o.index()]);
+                rank_run[o.index()] = I::narrow(r);
+            }
+        }
+        GridBlock {
+            sorted,
+            order,
+            rank,
+        }
+    })
+}
+
+/// The table kernel at one grid point, in direction order: gather the
+/// reference members' sorted projections, read off their median and MAD,
+/// and fold the queries' projections — the same fold, on the same values,
+/// as [`fold_directions`] on the gathered clouds.
+fn fold_table<I: CurveIndex>(
+    block: &GridBlock<I>,
+    n: usize,
+    reference: &Membership,
+    queries: &[usize],
+) -> Supremum {
+    let mut sup = Supremum::new(queries.len());
+    let mut buf = vec![0.0; n.max(reference.size)];
+    let runs = block
+        .sorted
+        .chunks_exact(n)
+        .zip(block.order.chunks_exact(n))
+        .zip(block.rank.chunks_exact(n));
+    for ((sorted, order), rank) in runs {
+        let (med, mad) = sorted_median_mad(reference.gather(sorted, order, &mut buf));
+        sup.fold(med, mad, queries.iter().map(|&i| sorted[rank[i].index()]));
+    }
+    sup
 }
 
 /// Projection depth `PD(x) = 1 / (1 + O(x))` for every row of `cloud`.
@@ -583,6 +909,36 @@ mod tests {
                 let (med, mad) = median_mad(v, &mut scratch[..len]);
                 assert_eq!(med.to_bits(), vector::median(v).to_bits());
                 assert_eq!(mad.to_bits(), vector::mad_raw(v).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn sorted_median_mad_matches_the_select_kernel() {
+        // ties, signed zeros, odd and even sizes, runs of every balance
+        let mut state = 7u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % 9
+        };
+        for len in 1..=14 {
+            let mut scratch = vec![0.0; len];
+            for _ in 0..200 {
+                let mut values: Vec<f64> = (0..len)
+                    .map(|_| match next() {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1.0 + f64::EPSILON,
+                        k => k as f64 * 0.5 - 2.0,
+                    })
+                    .collect();
+                let expected = median_mad(&values, &mut scratch);
+                values.sort_by(f64::total_cmp);
+                let got = sorted_median_mad(&values);
+                assert_eq!(expected.0.to_bits(), got.0.to_bits(), "{values:?}");
+                assert_eq!(expected.1.to_bits(), got.1.to_bits(), "{values:?}");
             }
         }
     }

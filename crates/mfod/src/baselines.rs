@@ -4,8 +4,13 @@
 //! Depth methods have no fit/predict split: a sample's score is its
 //! outlyingness *relative to a reference sample*. Following the paper's
 //! protocol (the baselines "take the MFD as input"), a test sample is
-//! scored against the training set: we build the joint dataset
-//! `train ∪ test`, score it, and report the test part. Because the training
+//! scored against the training set through
+//! [`FunctionalOutlierScorer::score_against`]. FUNTA and Dir.out override
+//! it with statistics of the training reference alone: the test curves'
+//! crossings with the training curves, and the median and MAD of the
+//! training projections. Only a custom scorer without an override falls
+//! back to the trait's default, which scores the joint dataset
+//! `train ∪ test` and reports the test part. Because the training
 //! composition varies with the contamination level `c`, the baselines'
 //! AUC degrades as `c` grows — the robustness effect Fig. 3 measures.
 //!
@@ -27,7 +32,7 @@ use mfod_persist::{Decode, Decoder, Encode, Encoder, PersistError, Restorable, S
 use std::path::Path;
 use std::sync::Arc;
 
-/// A depth-based baseline bound to the joint-scoring protocol.
+/// A depth-based baseline bound to the train/test protocol.
 #[derive(Clone)]
 pub struct DepthBaseline {
     scorer: Arc<dyn FunctionalOutlierScorer>,
@@ -87,7 +92,7 @@ impl DepthBaseline {
         Ok(self.scorer.score_against(&train_g, &test_g)?)
     }
 
-    /// Convenience: test AUC under the joint-scoring protocol.
+    /// Convenience: test AUC under the train/test protocol.
     pub fn auc(&self, train: &LabeledDataSet, test: &LabeledDataSet) -> Result<f64> {
         let scores = self.score_test(train, test)?;
         Ok(mfod_eval::auc(&scores, test.labels())?)

@@ -15,11 +15,13 @@
 //! Smoothing and mapping do not depend on the split, so the feature matrix
 //! and the baselines' gridded dataset are computed once and the split loop
 //! only refits detectors — a few orders of magnitude faster than
-//! re-smoothing per repetition, with identical results. Neither do FUNTA's
-//! crossings: every split draws its curves from the same pool, so one
-//! [`CrossingTable`] of the pool, built next to the gridded dataset, serves
-//! every split's FUNTA scores, bit-for-bit equal to scoring the split's
-//! subsets.
+//! re-smoothing per repetition, with identical results. Neither does the
+//! baselines' heavy lifting: every split draws its curves from the same
+//! pool, so two tables of the pool, built next to the gridded dataset,
+//! serve every split bit-for-bit equal to scoring the split's subsets —
+//! a [`CrossingTable`] of where each pair of curves crosses, for FUNTA,
+//! and a [`ProjectionTable`] of every curve's sorted projections, for
+//! Dir.out.
 //!
 //! All `levels × repetitions` splits then run as one map on the worker
 //! pool of [`mfod_linalg::par`]. Each split is a pure function of its
@@ -38,7 +40,7 @@ use crate::pipeline::{GeomOutlierPipeline, PipelineConfig};
 use crate::tune::NuTuner;
 use crate::Result;
 use mfod_datasets::{EcgConfig, EcgSimulator, LabeledDataSet, SplitConfig};
-use mfod_depth::{CrossingTable, DirOut, Funta};
+use mfod_depth::{CrossingTable, DirOut, Funta, ProjectionTable};
 use mfod_detect::features::Standardizer;
 use mfod_detect::{Detector, IsolationForest, OcSvm};
 use mfod_eval::{run_repeated, RepeatedSummary};
@@ -184,6 +186,7 @@ fn run_fig3_with(
     let crossings = CrossingTable::build(pool, &gridded);
     let funta = Funta::new();
     let dirout = DirOut::new();
+    let projections = ProjectionTable::build(pool, &gridded, &dirout.projection);
     let all_cols: Vec<usize> = (0..features.ncols()).collect();
 
     // 3. every (level, repetition) split, returned in that order
@@ -228,18 +231,17 @@ fn run_fig3_with(
         // depth baselines, fit on the training reference (so that
         // training contamination affects them exactly as it affects the
         // detector-based pipelines)
-        let train_g = gridded
-            .subset(&split.train_indices)
-            .map_err(MfodError::from)?;
-        let test_g = gridded
-            .subset(&split.test_indices)
-            .map_err(MfodError::from)?;
         let funta_scores = funta
             .score_indexed(&crossings, &split.train_indices, &split.test_indices)
             .map_err(MfodError::from)?;
         let funta_auc = mfod_eval::auc(&funta_scores, &test_labels).map_err(MfodError::from)?;
         let dirout_scores = dirout
-            .decompose_against_on(pool, &train_g, &test_g)
+            .decompose_indexed_on(
+                pool,
+                &projections,
+                &split.train_indices,
+                &split.test_indices,
+            )
             .map_err(MfodError::from)?;
         let dirout_auc =
             mfod_eval::auc(&dirout_scores.fo, &test_labels).map_err(MfodError::from)?;
